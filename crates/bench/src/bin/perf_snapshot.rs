@@ -3,8 +3,7 @@
 //! campaign evaluation, training epochs, serve throughput, multi-plan
 //! evaluation, streaming input-incremental evaluation, the persistent
 //! artifact store's cold-vs-warm measured search and serve warm start,
-//! the cost-model planner against fixed single-engine baselines over a
-//! mixed workload, per-backend GEMM and the im2col-vs-per-row
+//! per-backend GEMM and the im2col-vs-per-row
 //! Conv1d lowering, plus multi-process fleet saturation (the same
 //! pipelined query mix against real worker processes at N = 1, 2, 4
 //! next to the in-process baseline) — so
@@ -84,8 +83,6 @@ struct Snapshot {
     serve_recovery: ServeRecovery,
     /// Warm-start accounting for the persistent artifact store runs.
     artifact_store: ArtifactStoreReport,
-    /// Admission/planner accounting for the `planner_mixed_*` runs.
-    planner: PlannerReport,
     /// Supervision counters observed across the `fleet_saturation_*`
     /// runs (PR 10). All zero on a healthy run except `answers` —
     /// nonzero recovery counters mean the measurement rode through
@@ -137,32 +134,6 @@ struct ArtifactStoreReport {
     serve_warm_hits: u64,
     /// Rows x depth of nominal compute the restarted server skipped.
     serve_warm_rows_reused: u64,
-}
-
-/// What the admission pipeline and cost-model planner did during the
-/// `planner_mixed_*` runs (PR 9). A healthy snapshot has
-/// `admission_dedup_hits` equal to the duplicate registrations the
-/// workload makes, and the `planner_mixed_auto` metric at least as fast
-/// as the slowest fixed engine — the CI smoke gate checks exactly that.
-#[derive(Debug, Default, Serialize)]
-struct PlannerReport {
-    /// Plans admitted into the registry (duplicates included).
-    admitted: u64,
-    /// Typed admission rejections (0 on a healthy run).
-    rejected: u64,
-    /// Distinct compiled bodies after equal-up-to-fault-value dedup.
-    bodies_compiled: u64,
-    /// Registrations served by an already-compiled body.
-    admission_dedup_hits: u64,
-    /// Per-engine pick counts over the auto run, as `(engine, picks)`
-    /// pairs in [`neurofail_inject::Engine::ALL`] order.
-    picks: Vec<(String, u64)>,
-    /// Identical-plan evaluations skipped by result sharing at eval time.
-    eval_dedup_hits: u64,
-    /// Planner cost-model observations fed back (auto run).
-    observations: u64,
-    /// Running EWMA of predicted-vs-actual cost error, parts per million.
-    pred_err_ppm: u64,
 }
 
 /// Recovery/degradation counters aggregated over the serve run's shards.
@@ -567,221 +538,6 @@ fn store_metrics(smoke: bool, reps: usize) -> (Vec<Metric>, ArtifactStoreReport)
     (metrics, report)
 }
 
-/// The cost-model planner against fixed single-engine deployments over a
-/// mixed workload: (a) the same probe batch re-evaluated round after
-/// round against a plan family (re-certification traffic — a resident
-/// checkpoint serves it), (b) ad-hoc fresh batches against the family,
-/// (c) one-row ad-hoc queries with no cache infrastructure. Half the
-/// family's registrations are byte-identical duplicates: the admission
-/// pipeline shares their compiled bodies, and the registry evaluates each
-/// distinct plan key once — the fixed baselines have no IR, so they pay
-/// every duplicate. Every variant's outputs are asserted bitwise equal
-/// (contract 14) before any throughput is reported.
-fn planner_metrics(smoke: bool, reps: usize) -> (Vec<Metric>, PlannerReport) {
-    let (depth, width, batch, rounds, queries) = if smoke {
-        (4, 10, 8, 4, 8)
-    } else {
-        (6, 24, 16, 8, 64)
-    };
-    let net = Arc::new(deep_net(depth, width, 8, 0x91));
-    let last = depth - 1;
-    let mut registry = PlanRegistry::new();
-    let mut ids = Vec::new();
-    for n in 0..4 {
-        let plan = InjectionPlan::crash([(last, n % width)]);
-        ids.push(registry.register(Arc::clone(&net), &plan, 1.0).unwrap());
-        // A byte-identical duplicate: admission shares the compiled body,
-        // eval shares the result.
-        ids.push(registry.register(Arc::clone(&net), &plan, 1.0).unwrap());
-    }
-    let q_id = registry
-        .register(Arc::clone(&net), &InjectionPlan::crash([(0, 1)]), 1.0)
-        .unwrap();
-    let mut r = rng(0x92);
-    let xs_repeat = Matrix::from_fn(batch, 8, |_, _| rand::Rng::gen_range(&mut r, 0.0..=1.0));
-    let xs_fresh: Vec<Matrix> = (0..rounds)
-        .map(|_| Matrix::from_fn(batch, 8, |_, _| rand::Rng::gen_range(&mut r, 0.0..=1.0)))
-        .collect();
-    let q_rows: Vec<Matrix> = (0..queries)
-        .map(|_| Matrix::from_fn(1, 8, |_, _| rand::Rng::gen_range(&mut r, 0.0..=1.0)))
-        .collect();
-    // The baselines evaluate every registered entry (duplicates and all).
-    let family: Vec<&CompiledPlan> = ids
-        .iter()
-        .map(|&id| registry.get(id).expect("registered").compiled())
-        .collect();
-    let q_plan = registry.get(q_id).expect("registered").compiled();
-    // Row-evaluations counting duplicates: the same denominator for every
-    // variant, so dedup savings show up as throughput, not smaller units.
-    let units = (2 * rounds * ids.len() * batch + queries) as u64;
-    let workload = format!(
-        "L{depth} w{width}: {rounds} repeat + {rounds} fresh rounds x {} plans (half duplicates) x {batch} rows + {queries} singleton queries",
-        ids.len()
-    );
-
-    // Planner-routed: the registry's admission IR dedups identical plans,
-    // and the cost model routes each leg (resident checkpoint for the
-    // repeat leg, cheapest engine elsewhere).
-    let auto = || {
-        let mut cache = CheckpointCache::new(2);
-        let mut ws = BatchWorkspace::default();
-        let mut out: Vec<f64> = Vec::new();
-        for _ in 0..rounds {
-            for errs in registry.eval_many_cached(&ids, &xs_repeat, &mut cache, &mut ws) {
-                out.extend(errs);
-            }
-        }
-        for xs in &xs_fresh {
-            for errs in registry.eval_many_cached(&ids, xs, &mut cache, &mut ws) {
-                out.extend(errs);
-            }
-        }
-        for row in &q_rows {
-            out.extend(registry.eval_many(&[q_id], row).remove(0));
-        }
-        out
-    };
-    // Fixed: per-row singleton batches everywhere.
-    let singleton = || {
-        let mut ws = BatchWorkspace::default();
-        let mut row = Matrix::zeros(1, 8);
-        let mut out: Vec<f64> = Vec::new();
-        let mut leg = |xs: &Matrix, plans: &[&CompiledPlan]| {
-            for plan in plans {
-                for b in 0..xs.rows() {
-                    row.row_mut(0).copy_from_slice(xs.row(b));
-                    out.push(plan.output_error_batch(&net, &row, &mut ws)[0]);
-                }
-            }
-        };
-        for _ in 0..rounds {
-            leg(&xs_repeat, &family);
-        }
-        for xs in &xs_fresh {
-            leg(xs, &family);
-        }
-        for r in &q_rows {
-            leg(r, &[q_plan]);
-        }
-        out
-    };
-    // Fixed: one whole-batch faulty pass per plan per arrival.
-    let whole_batch = || {
-        let mut ws = BatchWorkspace::default();
-        let mut out: Vec<f64> = Vec::new();
-        let mut leg = |xs: &Matrix, plans: &[&CompiledPlan]| {
-            for plan in plans {
-                out.extend(plan.output_error_batch(&net, xs, &mut ws));
-            }
-        };
-        for _ in 0..rounds {
-            leg(&xs_repeat, &family);
-        }
-        for xs in &xs_fresh {
-            leg(xs, &family);
-        }
-        for r in &q_rows {
-            leg(r, &[q_plan]);
-        }
-        out
-    };
-    // Fixed: the suffix engine, nominal pass recomputed per arrival.
-    let suffix = || {
-        let mut out: Vec<f64> = Vec::new();
-        let mut leg = |xs: &Matrix, plans: &[&CompiledPlan]| {
-            let mut eval = MultiPlanEvaluator::new(&net, xs);
-            for plan in plans {
-                out.extend(eval.output_error(plan));
-            }
-        };
-        for _ in 0..rounds {
-            leg(&xs_repeat, &family);
-        }
-        for xs in &xs_fresh {
-            leg(xs, &family);
-        }
-        for r in &q_rows {
-            leg(r, &[q_plan]);
-        }
-        out
-    };
-    // Fixed: everything through the checkpoint cache, one-shot singleton
-    // queries included (the cache overhead such a deployment pays).
-    let cached = || {
-        let mut cache = CheckpointCache::new(2);
-        let mut ws = BatchWorkspace::default();
-        let mut out: Vec<f64> = Vec::new();
-        let mut leg = |xs: &Matrix, plans: &[CompiledPlan], cache: &mut CheckpointCache| {
-            for errs in cache.output_error_many(&net, xs, plans, &mut ws) {
-                out.extend(errs);
-            }
-        };
-        let family_owned: Vec<CompiledPlan> = family.iter().map(|&p| p.clone()).collect();
-        let q_owned = [q_plan.clone()];
-        for _ in 0..rounds {
-            leg(&xs_repeat, &family_owned, &mut cache);
-        }
-        for xs in &xs_fresh {
-            leg(xs, &family_owned, &mut cache);
-        }
-        for r in &q_rows {
-            leg(r, &q_owned, &mut cache);
-        }
-        out
-    };
-
-    // Contract 14, checked before timing anything: every fixed engine
-    // reproduces the planner-routed values bitwise.
-    let reference = auto();
-    for (name, vals) in [
-        ("singleton", singleton()),
-        ("whole_batch", whole_batch()),
-        ("suffix", suffix()),
-        ("cached", cached()),
-    ] {
-        assert_eq!(vals.len(), reference.len(), "{name}: output count");
-        for (i, (a, b)) in reference.iter().zip(&vals).enumerate() {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "{name}: output {i} diverges from the planner route"
-            );
-        }
-    }
-
-    let metric = |name: &str, seconds: f64| Metric {
-        name: format!("planner_mixed_{name}"),
-        workload: workload.clone(),
-        seconds,
-        units,
-        throughput: units as f64 / seconds,
-    };
-    let metrics = vec![
-        metric("auto", best_of(reps, auto)),
-        metric("singleton", best_of(reps, singleton)),
-        metric("whole_batch", best_of(reps, whole_batch)),
-        metric("suffix", best_of(reps, suffix)),
-        metric("cached", best_of(reps, cached)),
-    ];
-
-    let admission = registry.admission_stats();
-    let pstats = registry.planner().stats();
-    let report = PlannerReport {
-        admitted: admission.admitted,
-        rejected: admission.rejected,
-        bodies_compiled: admission.bodies_compiled,
-        admission_dedup_hits: admission.dedup_hits,
-        picks: neurofail_inject::Engine::ALL
-            .iter()
-            .map(|e| (e.name().to_string(), pstats.picks[e.index()]))
-            .collect(),
-        eval_dedup_hits: pstats.dedup_hits,
-        observations: pstats.observations,
-        pred_err_ppm: pstats.pred_err_ppm,
-    };
-    (metrics, report)
-}
-
 /// Square `out = A·Wᵀ` under every supported compute backend: the raw
 /// kernel number behind every engine metric above. Units are fused
 /// multiply-adds (`m·n·k`).
@@ -980,8 +736,6 @@ fn main() {
     metrics.extend(streaming_metrics(smoke, reps));
     let (store, artifact_store) = store_metrics(smoke, reps);
     metrics.extend(store);
-    let (planner_m, planner) = planner_metrics(smoke, reps);
-    metrics.extend(planner_m);
     metrics.extend(gemm_backend_metrics(smoke, reps));
     metrics.extend(conv_lowering_metrics(smoke, reps));
     let (fleet_m, fleet) = fleet_metrics(smoke, reps);
@@ -998,7 +752,6 @@ fn main() {
         metrics,
         serve_recovery,
         artifact_store,
-        planner,
         fleet,
     };
     let json = serde_json::to_string(&snapshot).expect("snapshot serialises");

@@ -20,38 +20,16 @@
 //!
 //! Values are **bitwise** independent of the cache (hit or miss, evicted
 //! or resident): the cache only memoises a checkpoint the cold path
-//! would recompute identically. Each request is routed through the
-//! global cost-model [`Planner`] — with a cache in hand the model lands
-//! on the cached engine, and a forced override
-//! (`NEUROFAIL_PLANNER=whole-batch`) reroutes the same searches through
-//! another engine bitwise identically (contract 14).
+//! would recompute identically.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use neurofail_inject::exhaustive::Combinations;
-use neurofail_inject::{
-    CheckpointCache, CompiledPlan, Engine, InjectionPlan, MultiPlanEvaluator, Planner, RequestMix,
-};
+use neurofail_inject::{CheckpointCache, CompiledPlan, InjectionPlan};
 use neurofail_nn::{BatchWorkspace, Mlp};
 use neurofail_tensor::Matrix;
 
 use crate::budget::EpsilonBudget;
-
-/// `C(n, k)` for the planner's request-mix sizing. Saturates instead of
-/// overflowing — an approximate plan count only skews a cost estimate,
-/// never a value.
-fn binomial(n: usize, k: usize) -> usize {
-    if k > n {
-        return 0;
-    }
-    let k = k.min(n - k);
-    let mut acc = 1usize;
-    for i in 0..k {
-        acc = acc.saturating_mul(n - i) / (i + 1);
-    }
-    acc
-}
 
 /// One ε′ candidate's measured crash threshold.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -68,11 +46,8 @@ pub struct MeasuredThreshold {
 }
 
 /// Measured worst disturbance of the exhaustive `k`-crash family at
-/// `layer`, evaluated over `xs` through the engine the global
-/// [`Planner`] picks for the family's request mix. With a warm or cold
-/// cache the cost model lands on the cached engine (one nominal pass per
-/// distinct `(net, xs)`, ever); a forced override routes the same family
-/// through another engine, bitwise identically (contract 14).
+/// `layer`, evaluated over `xs` against the cached nominal checkpoint
+/// (one nominal pass per distinct `(net, xs)`, ever).
 fn worst_crash_error(
     net: &Arc<Mlp>,
     layer: usize,
@@ -82,60 +57,17 @@ fn worst_crash_error(
     cache: &mut CheckpointCache,
     scratch: &mut BatchWorkspace,
 ) -> f64 {
-    let width = net.widths()[layer];
-    let depth = net.depth();
-    let plans = binomial(width, k);
-    let planner = Planner::global();
-    let mix = RequestMix {
-        rows: xs.rows(),
-        plans,
-        depth,
-        suffix_layers: plans.saturating_mul(depth - layer),
-        cache_available: true,
-        cache_resident: cache.contains(net, xs),
-        stream_prefix_rows: 0,
-    };
-    let engine = planner.choose(&mix);
-    let start = Instant::now();
+    // One cache resolution (hash + bitwise witness check) for the whole
+    // family; every subset then resumes against the borrowed checkpoint.
+    let ck = cache.checkpoint(net, xs);
     let mut worst = 0.0f64;
-    let mut fold = |errors: &[f64]| {
-        for &e in errors {
+    for subset in Combinations::new(net.widths()[layer], k) {
+        let plan = InjectionPlan::crash(subset.iter().map(|&n| (layer, n)));
+        let compiled = CompiledPlan::compile(&plan, net, capacity).expect("in-range subset");
+        for e in compiled.output_error_checkpointed(net, xs, ck.ws, ck.nominal_y, scratch) {
             worst = worst.max(e);
         }
-    };
-    let compile = |subset: &[usize]| {
-        let plan = InjectionPlan::crash(subset.iter().map(|&n| (layer, n)));
-        CompiledPlan::compile(&plan, net, capacity).expect("in-range subset")
-    };
-    match engine {
-        Engine::Cached => {
-            // One cache resolution (hash + bitwise witness check) for the
-            // whole family; every subset then resumes against the
-            // borrowed checkpoint.
-            let ck = cache.checkpoint(net, xs);
-            for subset in Combinations::new(width, k) {
-                let compiled = compile(&subset);
-                fold(&compiled.output_error_checkpointed(net, xs, ck.ws, ck.nominal_y, scratch));
-            }
-        }
-        Engine::SuffixResume | Engine::Streaming => {
-            // No ingest state here, so a forced streaming pick runs the
-            // suffix engine — bitwise equal by contract.
-            let mut eval = MultiPlanEvaluator::new(net, xs);
-            for subset in Combinations::new(width, k) {
-                fold(&eval.output_error(&compile(&subset)));
-            }
-        }
-        Engine::WholeBatch | Engine::Singleton => {
-            // Per-row dispatch buys nothing on a fixed probe matrix; the
-            // whole-batch engine is the singleton engine's batched twin
-            // (contract 5), so both picks run it.
-            for subset in Combinations::new(width, k) {
-                fold(&compile(&subset).output_error_batch(net, xs, scratch));
-            }
-        }
     }
-    planner.observe(engine, &mix, start.elapsed().as_nanos() as u64);
     worst
 }
 
@@ -236,34 +168,13 @@ pub fn measured_capacity_sweep(
 ) -> Vec<CapacityPoint> {
     let slack = budget.slack();
     let mut scratch = BatchWorkspace::default();
-    let planner = Planner::global();
     capacities
         .iter()
         .map(|&capacity| {
             let compiled = CompiledPlan::compile(plan, net, capacity).expect("plan fits net");
-            let mix = RequestMix {
-                rows: xs.rows(),
-                plans: 1,
-                depth: net.depth(),
-                suffix_layers: net.depth() - compiled.first_faulty_layer(),
-                cache_available: true,
-                cache_resident: cache.contains(net, xs),
-                stream_prefix_rows: 0,
-            };
-            let engine = planner.choose(&mix);
-            let start = Instant::now();
-            let errors = match engine {
-                Engine::Cached => cache
-                    .output_error_many(net, xs, std::slice::from_ref(&compiled), &mut scratch)
-                    .swap_remove(0),
-                Engine::SuffixResume | Engine::Streaming => {
-                    MultiPlanEvaluator::new(net, xs).output_error(&compiled)
-                }
-                Engine::WholeBatch | Engine::Singleton => {
-                    compiled.output_error_batch(net, xs, &mut scratch)
-                }
-            };
-            planner.observe(engine, &mix, start.elapsed().as_nanos() as u64);
+            let errors = cache
+                .output_error_many(net, xs, std::slice::from_ref(&compiled), &mut scratch)
+                .swap_remove(0);
             let worst_error = errors.iter().fold(0.0f64, |a, &e| a.max(e));
             CapacityPoint {
                 capacity,

@@ -35,7 +35,7 @@ use std::io;
 use std::path::PathBuf;
 use std::process::Child;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use neurofail_inject::{
@@ -43,6 +43,7 @@ use neurofail_inject::{
     TrialResult,
 };
 use neurofail_nn::{net_to_bytes, Mlp};
+use neurofail_par::oneshot::Oneshot;
 use neurofail_serve::ServeConfig;
 
 use crate::proto::{
@@ -251,68 +252,14 @@ impl FleetAudit {
 }
 
 // ---------------------------------------------------------------------
-// Oneshot slot + handle
+// Query handle
 // ---------------------------------------------------------------------
-
-struct Slot<T> {
-    value: Mutex<Option<T>>,
-    cv: Condvar,
-}
-
-impl<T> Slot<T> {
-    fn new() -> Arc<Slot<T>> {
-        Arc::new(Slot {
-            value: Mutex::new(None),
-            cv: Condvar::new(),
-        })
-    }
-
-    fn fill(&self, v: T) {
-        let mut guard = self.value.lock().expect("slot mutex");
-        if guard.is_none() {
-            *guard = Some(v);
-            self.cv.notify_all();
-        }
-    }
-
-    fn wait(&self) -> T
-    where
-        T: Clone,
-    {
-        let mut guard = self.value.lock().expect("slot mutex");
-        loop {
-            if let Some(v) = guard.as_ref() {
-                return v.clone();
-            }
-            guard = self.cv.wait(guard).expect("slot mutex");
-        }
-    }
-
-    fn wait_for(&self, timeout: Duration) -> Option<T>
-    where
-        T: Clone,
-    {
-        let deadline = Instant::now() + timeout;
-        let mut guard = self.value.lock().expect("slot mutex");
-        loop {
-            if let Some(v) = guard.as_ref() {
-                return Some(v.clone());
-            }
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return None;
-            }
-            let (g, _) = self.cv.wait_timeout(guard, left).expect("slot mutex");
-            guard = g;
-        }
-    }
-}
 
 /// An outstanding fleet query: wait on it like a
 /// [`ResponseHandle`](neurofail_serve::ResponseHandle), across the
 /// process boundary.
 pub struct FleetHandle {
-    slot: Arc<Slot<Result<f64, FleetError>>>,
+    slot: Arc<Oneshot<Result<f64, FleetError>>>,
 }
 
 impl FleetHandle {
@@ -359,32 +306,32 @@ enum Cmd {
         input_dim: usize,
         structure_hash: u64,
         hot: bool,
-        slot: Arc<Slot<FleetPlanId>>,
+        slot: Arc<Oneshot<FleetPlanId>>,
     },
     Submit {
         plan: u64,
         input: Vec<f64>,
-        slot: Arc<Slot<Result<f64, FleetError>>>,
+        slot: Arc<Oneshot<Result<f64, FleetError>>>,
     },
     Campaign {
         net_bytes: Vec<u8>,
         counts: Vec<u64>,
         kind: TrialKind,
         cfg: CampaignConfig,
-        slot: Arc<Slot<Result<CampaignResult, FleetError>>>,
+        slot: Arc<Oneshot<Result<CampaignResult, FleetError>>>,
     },
     Kill {
         worker: usize,
-        slot: Arc<Slot<bool>>,
+        slot: Arc<Oneshot<bool>>,
     },
     Stats {
-        slot: Arc<Slot<FleetStats>>,
+        slot: Arc<Oneshot<FleetStats>>,
     },
     Audit {
-        slot: Arc<Slot<FleetAudit>>,
+        slot: Arc<Oneshot<FleetAudit>>,
     },
     Shutdown {
-        slot: Arc<Slot<FleetStats>>,
+        slot: Arc<Oneshot<FleetStats>>,
     },
 }
 
@@ -401,7 +348,7 @@ struct Pend {
     seq: u64,
     plan: u64,
     input: Vec<f64>,
-    slot: Arc<Slot<Result<f64, FleetError>>>,
+    slot: Arc<Oneshot<Result<f64, FleetError>>>,
 }
 
 #[derive(Clone, Copy)]
@@ -467,7 +414,7 @@ struct PlanRec {
 struct Job {
     per_trial: Vec<Option<TrialResult>>,
     filled: usize,
-    slot: Arc<Slot<Result<CampaignResult, FleetError>>>,
+    slot: Arc<Oneshot<Result<CampaignResult, FleetError>>>,
     net_bytes: Vec<u8>,
     counts: Vec<u64>,
     kind: TrialKind,
@@ -475,7 +422,7 @@ struct Job {
 }
 
 struct Collect<T> {
-    slot: Arc<Slot<T>>,
+    slot: Arc<Oneshot<T>>,
     want: HashSet<usize>,
     got: Vec<Option<WireWorkerStats>>,
     audits: Vec<Option<WorkerAudit>>,
@@ -1322,7 +1269,7 @@ impl FleetRouter {
             .expect("admission mutex")
             .admit(net, plan, capacity, None)
             .map_err(FleetError::Admission)?;
-        let slot = Slot::new();
+        let slot = Oneshot::new();
         self.tx
             .send(Event::Cmd(Cmd::Register {
                 net_bytes: net_to_bytes(net),
@@ -1362,7 +1309,7 @@ impl FleetRouter {
 
     /// Submit one query; resolve it later through the handle.
     pub fn submit(&self, plan: FleetPlanId, input: Vec<f64>) -> FleetHandle {
-        let slot = Slot::new();
+        let slot = Oneshot::new();
         let handle = FleetHandle {
             slot: Arc::clone(&slot),
         };
@@ -1396,7 +1343,7 @@ impl FleetRouter {
         kind: TrialKind,
         cfg: &CampaignConfig,
     ) -> Result<CampaignResult, FleetError> {
-        let slot = Slot::new();
+        let slot = Oneshot::new();
         self.tx
             .send(Event::Cmd(Cmd::Campaign {
                 net_bytes: net_to_bytes(net),
@@ -1412,7 +1359,7 @@ impl FleetRouter {
     /// SIGKILL worker `i`'s process (supervision requeues its work and
     /// respawns it). Returns false if the slot had no live process.
     pub fn kill_worker(&self, i: usize) -> bool {
-        let slot = Slot::new();
+        let slot = Oneshot::new();
         if self
             .tx
             .send(Event::Cmd(Cmd::Kill {
@@ -1428,7 +1375,7 @@ impl FleetRouter {
 
     /// Router counters plus fresh per-worker self-reports.
     pub fn stats(&self) -> FleetStats {
-        let slot = Slot::new();
+        let slot = Oneshot::new();
         if self
             .tx
             .send(Event::Cmd(Cmd::Stats {
@@ -1443,7 +1390,7 @@ impl FleetRouter {
 
     /// Ask every surviving worker to replay-verify its request log.
     pub fn audit(&self) -> FleetAudit {
-        let slot = Slot::new();
+        let slot = Oneshot::new();
         if self
             .tx
             .send(Event::Cmd(Cmd::Audit {
@@ -1460,7 +1407,7 @@ impl FleetRouter {
         if self.done.swap(true, Ordering::SeqCst) {
             return FleetStats::default();
         }
-        let slot = Slot::new();
+        let slot = Oneshot::new();
         let stats = if self
             .tx
             .send(Event::Cmd(Cmd::Shutdown {

@@ -364,8 +364,8 @@ impl CheckpointCache {
     /// Whether a checkpoint for `(net, xs)` is resident in memory right
     /// now — a guaranteed [`CheckpointCache::checkpoint`] hit. Pure read:
     /// no counters move, no recency updates, the disk tier is not
-    /// consulted. This is the planner's `cache_resident` feasibility
-    /// probe.
+    /// consulted. It hashes the whole network, so evaluation paths call
+    /// [`CheckpointCache::checkpoint`] directly instead of probing first.
     pub fn contains(&self, net: &Arc<Mlp>, xs: &Matrix) -> bool {
         let hash = input_set_hash(xs);
         let net_hash = net_content_hash(net);

@@ -33,12 +33,11 @@
 //!   [`streaming::StreamingEvaluator`] that certifies a fixed plan family
 //!   against inputs arriving in chunks — new work proportional to
 //!   (new inputs × suffix layers), never (all inputs × all layers).
-//! * [`ir`] / [`planner`] — the **admission pipeline** (validate →
-//!   normalize → compile → cache: typed rejection, dedup of plans equal
-//!   up to fault value onto one compiled body, warm-started admission
-//!   from the [`store`]) and the cost-model [`planner::Planner`] that
-//!   picks among the five bitwise-equivalent engines per request mix
-//!   (ARCHITECTURE contract 14: planner choice is bitwise invisible).
+//! * [`ir`] — the **admission pipeline** (validate → normalize → compile
+//!   → cache: typed rejection, dedup of plans equal up to fault value onto
+//!   one compiled body, warm-started admission from the [`store`]).
+//! * [`planner`] — engine names and counters kept for the benchmark
+//!   harness; no call path consults them.
 
 #![warn(missing_docs)]
 

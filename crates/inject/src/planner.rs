@@ -1,68 +1,35 @@
-//! Cost-model engine planner: one decision point for "which of the five
-//! bitwise-equivalent engines runs this request mix".
+//! Engine names kept only for the benchmark harness (`perfbench/`), which
+//! replays the evaluation call paths call by call through them.
 //!
-//! The workspace now has five ways to evaluate a set of admitted plans
-//! over a set of inputs — singleton batches, whole-batch, suffix-resume,
-//! streaming ingest, and cache/warm-start-backed — all proven bitwise
-//! equal by the differential fuzz suite (ARCHITECTURE contracts 5, 6, 9,
-//! 10). Historically every call site hard-coded its engine; the
-//! [`Planner`] replaces that with a measured cost model:
-//!
-//! * each engine has a **unit cost** (nanoseconds per *row-layer*, the
-//!   common work unit of every engine), seeded from the committed
-//!   `BENCH_PR4`–`BENCH_PR8.json` measurements and refined online with
-//!   the same EWMA the serve shards use for row costs (α = 1/8);
-//! * a request is summarized as a [`RequestMix`] — rows, plans, depth,
-//!   total suffix layers, cache/stream state — from which each engine's
-//!   nominal work in row-layers follows in closed form;
-//! * [`Planner::choose`] picks the feasible engine with the lowest
-//!   predicted cost; [`Planner::observe`] feeds the measured duration
-//!   back, tracking prediction error so the snapshot can report how well
-//!   the model fits.
-//!
-//! Because the engines are bitwise-equivalent *by contract*, the
-//! planner's choice is invisible in every output bit (ARCHITECTURE
-//! contract 14); `NEUROFAIL_PLANNER` / [`Planner::force`] pin a specific
-//! engine so the fuzz suite and benchmarks can certify exactly that.
+//! No code path in the workspace consults a planner: each runs the one
+//! engine it always gets. [`crate::PlanRegistry::eval_many`] and campaign
+//! chunks run suffix-resume; `eval_many_cached` and `core::measured` go
+//! straight to the checkpoint cache; serve's flush follows its live
+//! streaming and store state. [`Planner::choose`] states that rule for
+//! the harness, and [`Planner::observe`] does nothing.
 
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering::Relaxed};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::OnceLock;
 
-/// The five execution engines the planner arbitrates between. The
-/// discriminants are stable indices into every per-engine counter array.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(u8)]
+/// The five bitwise-equivalent evaluation engines (ARCHITECTURE
+/// contracts 5, 6, 9, 10). The discriminants index
+/// [`PlannerStats::picks`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
-    /// Per-plan, per-row singleton batches (`eval_singleton`) — the
-    /// simplest engine; pays full dispatch per row.
-    Singleton = 0,
-    /// Per-plan whole-batch evaluation (`output_error_batch`) — the
-    /// *reference* engine every other engine is certified against.
-    WholeBatch = 1,
-    /// Shared nominal pass + per-plan suffix resume
-    /// ([`crate::MultiPlanEvaluator`] / `resume_batch_from`).
-    SuffixResume = 2,
-    /// Streaming ingest ([`crate::StreamingEvaluator`]) — only new rows
-    /// pay, feasible when a bitwise-verified prefix already exists.
-    Streaming = 3,
-    /// Checkpoint-cache / artifact-store backed evaluation
-    /// ([`crate::CheckpointCache`]) — the nominal pass itself is skipped
-    /// on a resident or stored checkpoint.
-    Cached = 4,
+    /// Per-row singleton batches (`eval_singleton`).
+    Singleton,
+    /// Per-plan whole-batch evaluation (`output_error_batch`), the
+    /// reference every other engine is held to.
+    WholeBatch,
+    /// One shared nominal pass plus per-plan suffix resumes.
+    SuffixResume,
+    /// Streaming ingest over a bitwise-verified prefix.
+    Streaming,
+    /// Checkpoint-cache or artifact-store backed evaluation.
+    Cached,
 }
 
 impl Engine {
-    /// All engines, in preference order for cost ties: the engines that
-    /// reuse the most prior work win ties, so equal-cost predictions
-    /// degrade gracefully toward less recomputation.
-    pub const PREFERENCE: [Engine; 5] = [
-        Engine::Cached,
-        Engine::Streaming,
-        Engine::SuffixResume,
-        Engine::WholeBatch,
-        Engine::Singleton,
-    ];
-
     /// All engines in index order.
     pub const ALL: [Engine; 5] = [
         Engine::Singleton,
@@ -77,12 +44,7 @@ impl Engine {
         self as usize
     }
 
-    /// Engine from its stable index.
-    pub fn from_index(i: usize) -> Option<Engine> {
-        Engine::ALL.get(i).copied().filter(|e| e.index() == i)
-    }
-
-    /// Stable lowercase name (used by `NEUROFAIL_PLANNER` and stats).
+    /// Stable lowercase name.
     pub fn name(self) -> &'static str {
         match self {
             Engine::Singleton => "singleton",
@@ -92,431 +54,79 @@ impl Engine {
             Engine::Cached => "cached",
         }
     }
-
-    /// Parse an engine name as accepted by `NEUROFAIL_PLANNER`.
-    pub fn parse(s: &str) -> Option<Engine> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "singleton" => Some(Engine::Singleton),
-            "whole-batch" | "wholebatch" | "batch" => Some(Engine::WholeBatch),
-            "suffix-resume" | "suffix" | "resume" => Some(Engine::SuffixResume),
-            "streaming" | "stream" => Some(Engine::Streaming),
-            "cached" | "cache" | "store" => Some(Engine::Cached),
-            _ => None,
-        }
-    }
 }
 
-impl std::fmt::Display for Engine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// Closed-form summary of one evaluation request, from which every
-/// engine's nominal work in row-layers follows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// Summary of one evaluation request.
+#[derive(Debug, Clone, Copy)]
 pub struct RequestMix {
     /// Input rows to evaluate.
     pub rows: usize,
-    /// Plans in the request (all over one content-equal network family).
+    /// Plans in the request.
     pub plans: usize,
     /// Network depth in layers.
     pub depth: usize,
-    /// Σ over plans of `depth − first_faulty_layer` — the total resumed
-    /// layers a suffix engine runs per row.
+    /// Σ over plans of `depth − first_faulty_layer`.
     pub suffix_layers: usize,
-    /// A checkpoint cache (possibly store-backed) is attached to this
-    /// call path, so the `Cached` engine is dispatchable.
+    /// A checkpoint cache is attached to this call path.
     pub cache_available: bool,
-    /// The checkpoint for exactly this `(net, rows)` key is known
-    /// resident (cache hit guaranteed; the nominal pass costs nothing).
+    /// The checkpoint for this `(net, rows)` key is resident.
     pub cache_resident: bool,
-    /// Rows of an already-ingested, bitwise-verified streaming prefix
-    /// (0 = no stream to extend, `Streaming` infeasible).
+    /// Rows of an already-ingested streaming prefix.
     pub stream_prefix_rows: usize,
 }
 
-impl RequestMix {
-    /// Nominal work of `engine` on this mix, in row-layers (≥ 1 so cost
-    /// ratios and EWMA divisions stay well-defined on empty requests).
-    pub fn units(&self, engine: Engine) -> u64 {
-        let rows = self.rows as u64;
-        let depth = self.depth as u64;
-        let suffix = self.suffix_layers as u64;
-        let plans = self.plans as u64;
-        let new_rows = rows.saturating_sub(self.stream_prefix_rows as u64);
-        let u = match engine {
-            // Per-plan nominal + faulty full passes.
-            Engine::Singleton | Engine::WholeBatch => 2 * plans * rows * depth,
-            // One shared nominal pass + per-plan resumed suffixes.
-            Engine::SuffixResume => rows * depth + rows * suffix,
-            // A resident checkpoint erases the nominal pass entirely.
-            Engine::Cached => {
-                let nominal = if self.cache_resident { 0 } else { rows * depth };
-                nominal + rows * suffix
-            }
-            // Only rows beyond the verified prefix pay at all.
-            Engine::Streaming => new_rows * depth + new_rows * suffix,
-        };
-        u.max(1)
-    }
-
-    /// Whether `engine` can execute this mix at all.
-    pub fn feasible(&self, engine: Engine) -> bool {
-        match engine {
-            Engine::Singleton | Engine::WholeBatch | Engine::SuffixResume => true,
-            Engine::Streaming => self.stream_prefix_rows > 0,
-            Engine::Cached => self.cache_available,
-        }
-    }
-}
-
 /// Point-in-time planner counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy)]
 pub struct PlannerStats {
     /// Times each engine was picked, indexed by [`Engine::index`].
     pub picks: [u64; 5],
-    /// Timings fed back through [`Planner::observe`].
-    pub observations: u64,
-    /// EWMA of |predicted − actual| / actual, in parts per million — the
-    /// cost model's running prediction error.
-    pub pred_err_ppm: u64,
     /// Plan evaluations skipped because an identical plan (same
     /// `(net, structure, value)` key) was already evaluated in the same
-    /// request — its result is shared, bitwise, for free.
+    /// request: its result is shared, bitwise, for free.
     pub dedup_hits: u64,
-    /// Current per-engine unit costs (ns per row-layer), indexed by
-    /// [`Engine::index`].
-    pub unit_ns: [u64; 5],
-    /// The engine currently forced, if any.
-    pub forced: Option<Engine>,
 }
 
-/// EWMA with α = 1/8 — the same smoothing the serve shards use for
-/// per-row flush costs, so planner and shard statistics age identically.
-fn ewma(old: u64, sample: u64) -> u64 {
-    if old == 0 {
-        sample
-    } else {
-        (old - old / 8 + sample / 8).max(1)
-    }
-}
-
-/// Baseline ns per row-layer, per engine ([`Engine::index`] order),
-/// measured by the committed bench history:
-/// * singleton ≈ 1540 ns — the per-row dispatch rate (batch-of-1 GEMVs
-///   forfeit the GEMM blocking win, ~4× whole-batch — the BENCH_PR4-era
-///   `serve` singleton gap);
-/// * whole-batch ≈ 385 ns — BENCH_PR8 `multi_plan` `per_plan_units_per_s`
-///   ≈ 0.65 M plan-row-layers/s at 4 plans ⇒ ~1538 ns ÷ 4 plans;
-/// * suffix-resume ≈ 167 ns — BENCH_PR8 `multi_plan`
-///   `suffix_units_per_s` ≈ 6.0 M units/s;
-/// * streaming ≈ 383 ns — BENCH_PR8 `streaming` ≈ 2.61 M units/s (its
-///   units include the nominal prefix work);
-/// * cached ≈ 167 ns — a hit degenerates to pure suffix work (BENCH_PR8
-///   `store` warm-start matches the suffix rate).
-const UNIT_NS_SEED: [u64; 5] = [1540, 385, 167, 383, 167];
-
-/// The cost-model planner. Cheap to share (`Arc`): all state is relaxed
-/// atomics, and choices are pure reads plus counter bumps.
-///
-/// ## Why one global calibration scale, not per-engine rates
-///
-/// The *relative* engine rates come from the committed benches
-/// (`UNIT_NS_SEED`) and stay fixed; [`Planner::observe`] refines a
-/// single multiplicative speed scale that absorbs what actually varies at
-/// runtime — machine speed, build profile, thermal state. Refining each
-/// engine's rate independently from its own picks would create an
-/// absorbing state: an engine measured slow once (a cold page, a debug
-/// build) is never picked again, so its estimate never recovers, and
-/// call-path invariants (e.g. "a provided checkpoint cache is consulted")
-/// turn timing-dependent. With a shared scale, routing is a deterministic
-/// function of the request mix while predicted costs still track the
-/// measured rates (see [`PlannerStats::pred_err_ppm`]).
-#[derive(Debug)]
+/// Pick and dedup counters; all state is relaxed atomics.
+#[derive(Debug, Default)]
 pub struct Planner {
-    /// Global speed scale in parts per million of the bench-seeded rates
-    /// (1_000_000 = exactly as benched), EWMA-refined from observations.
-    scale_ppm: AtomicU64,
     picks: [AtomicU64; 5],
-    observations: AtomicU64,
-    pred_err_ppm: AtomicU64,
     dedup_hits: AtomicU64,
-    /// 0 = auto; `e.index() + 1` = forced engine.
-    forced: AtomicU8,
-}
-
-impl Default for Planner {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl Planner {
-    /// A planner with bench-seeded unit costs. Honors `NEUROFAIL_PLANNER`
-    /// (an [`Engine::parse`] name forces that engine; `auto`/unset picks
-    /// by cost).
-    pub fn new() -> Planner {
-        let p = Planner {
-            scale_ppm: AtomicU64::new(1_000_000),
-            picks: Default::default(),
-            observations: AtomicU64::new(0),
-            pred_err_ppm: AtomicU64::new(0),
-            dedup_hits: AtomicU64::new(0),
-            forced: AtomicU8::new(0),
-        };
-        if let Ok(v) = std::env::var("NEUROFAIL_PLANNER") {
-            if let Some(e) = Engine::parse(&v) {
-                p.force(Some(e));
-            }
-        }
-        p
-    }
-
-    /// The process-wide planner used by call paths without a registry
-    /// (`core::measured`, campaign chunking).
+    /// The process-wide planner.
     pub fn global() -> &'static Planner {
         static GLOBAL: OnceLock<Planner> = OnceLock::new();
-        GLOBAL.get_or_init(Planner::new)
+        GLOBAL.get_or_init(Planner::default)
     }
 
-    /// Convenience: a fresh shared planner.
-    pub fn shared() -> Arc<Planner> {
-        Arc::new(Planner::new())
-    }
-
-    /// Pin every subsequent choice to `engine` (when feasible for the
-    /// mix; infeasible forces fall back to cost-based choice so a forced
-    /// `Streaming` with no stream still returns *an* engine). `None`
-    /// restores cost-based choice.
-    pub fn force(&self, engine: Option<Engine>) {
-        self.forced
-            .store(engine.map(|e| e.index() as u8 + 1).unwrap_or(0), Relaxed);
-    }
-
-    /// The currently forced engine, if any.
-    pub fn forced(&self) -> Option<Engine> {
-        match self.forced.load(Relaxed) {
-            0 => None,
-            i => Engine::from_index(i as usize - 1),
-        }
-    }
-
-    /// Current effective unit cost of `engine` (ns per row-layer):
-    /// bench-seeded rate times the calibrated speed scale.
-    pub fn unit_ns(&self, engine: Engine) -> u64 {
-        (UNIT_NS_SEED[engine.index()].saturating_mul(self.scale_ppm.load(Relaxed)) / 1_000_000)
-            .max(1)
-    }
-
-    /// Predicted cost of running `engine` on `mix`, in nanoseconds.
-    pub fn predicted_ns(&self, engine: Engine, mix: &RequestMix) -> u64 {
-        mix.units(engine).saturating_mul(self.unit_ns(engine))
-    }
-
-    /// Pick the engine for `mix`: the forced engine when set and
-    /// feasible, otherwise the feasible engine with the lowest predicted
-    /// cost (ties resolved by [`Engine::PREFERENCE`]). Records the pick.
+    /// The engine the call paths run for `mix`: [`Engine::Cached`] when a
+    /// cache is attached, [`Engine::SuffixResume`] otherwise. Records the
+    /// pick.
     pub fn choose(&self, mix: &RequestMix) -> Engine {
-        let picked = match self.forced() {
-            Some(e) if mix.feasible(e) => e,
-            _ => {
-                let mut best = Engine::WholeBatch;
-                let mut best_cost = u64::MAX;
-                for &e in &Engine::PREFERENCE {
-                    if !mix.feasible(e) {
-                        continue;
-                    }
-                    let cost = self.predicted_ns(e, mix);
-                    if cost < best_cost {
-                        best = e;
-                        best_cost = cost;
-                    }
-                }
-                best
-            }
+        let picked = if mix.cache_available {
+            Engine::Cached
+        } else {
+            Engine::SuffixResume
         };
         self.picks[picked.index()].fetch_add(1, Relaxed);
         picked
     }
 
-    /// Feed back a measured execution: refines the global speed scale
-    /// and the running prediction error (both EWMA, α = 1/8).
-    pub fn observe(&self, engine: Engine, mix: &RequestMix, elapsed_ns: u64) {
-        let predicted = self.predicted_ns(engine, mix);
-        if elapsed_ns > 0 && predicted > 0 {
-            let err_ppm = predicted.abs_diff(elapsed_ns).saturating_mul(1_000_000) / elapsed_ns;
-            let e = &self.pred_err_ppm;
-            e.store(ewma(e.load(Relaxed), err_ppm), Relaxed);
-            // Scale sample: how much slower/faster this run was than the
-            // *seed* rate predicts (independent of the current scale, so
-            // the EWMA converges on the measured ratio instead of
-            // compounding). Racy read-modify-write is fine: this is
-            // telemetry smoothing, and every interleaving still converges.
-            let seed_ns = mix
-                .units(engine)
-                .saturating_mul(UNIT_NS_SEED[engine.index()])
-                .max(1);
-            let sample_ppm = elapsed_ns
-                .saturating_mul(1_000_000)
-                .checked_div(seed_ns)
-                .unwrap_or(u64::MAX)
-                .clamp(1_000, 1_000_000_000); // 0.001×..1000× sanity bounds
-            let s = &self.scale_ppm;
-            s.store(ewma(s.load(Relaxed), sample_ppm), Relaxed);
-        }
-        self.observations.fetch_add(1, Relaxed);
-    }
-
-    /// Record a pick made outside [`choose`](Planner::choose) — call
-    /// paths (serve's flush) where live state dictates the route: a
-    /// streaming prefix actually matched, or a store checkpoint actually
-    /// hit. The cost model can't see that state up front, but the pick
-    /// still belongs in the telemetry.
-    pub fn note_pick(&self, engine: Engine) {
-        self.picks[engine.index()].fetch_add(1, Relaxed);
-    }
+    /// Accepts a measured execution and does nothing with it.
+    pub fn observe(&self, _engine: Engine, _mix: &RequestMix, _elapsed_ns: u64) {}
 
     /// Record `plans` evaluations skipped by identical-plan result
     /// sharing (see [`PlannerStats::dedup_hits`]).
     pub fn note_dedup(&self, plans: u64) {
-        if plans > 0 {
-            self.dedup_hits.fetch_add(plans, Relaxed);
-        }
+        self.dedup_hits.fetch_add(plans, Relaxed);
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> PlannerStats {
         PlannerStats {
             picks: std::array::from_fn(|i| self.picks[i].load(Relaxed)),
-            observations: self.observations.load(Relaxed),
-            pred_err_ppm: self.pred_err_ppm.load(Relaxed),
             dedup_hits: self.dedup_hits.load(Relaxed),
-            unit_ns: std::array::from_fn(|i| {
-                self.unit_ns(Engine::from_index(i).expect("dense index"))
-            }),
-            forced: self.forced(),
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn family_mix() -> RequestMix {
-        RequestMix {
-            rows: 64,
-            plans: 8,
-            depth: 6,
-            suffix_layers: 8, // deep faults: ~1 suffix layer per plan
-            cache_available: false,
-            cache_resident: false,
-            stream_prefix_rows: 0,
-        }
-    }
-
-    #[test]
-    fn suffix_beats_whole_batch_on_plan_families() {
-        let p = Planner::new();
-        assert_eq!(p.choose(&family_mix()), Engine::SuffixResume);
-        // A single shallow-fault plan has no suffix advantage: the
-        // suffix engine's nominal+full-resume matches whole-batch units,
-        // and whole-batch's unit rate is the same, so preference order
-        // keeps suffix — but singleton must never win here.
-        let single = RequestMix {
-            plans: 1,
-            suffix_layers: 6,
-            ..family_mix()
-        };
-        assert_ne!(p.choose(&single), Engine::Singleton);
-    }
-
-    #[test]
-    fn resident_cache_wins_and_infeasible_engines_are_skipped() {
-        let p = Planner::new();
-        let mut mix = family_mix();
-        mix.cache_available = true;
-        mix.cache_resident = true;
-        assert_eq!(p.choose(&mix), Engine::Cached);
-        mix.cache_available = false;
-        assert_ne!(p.choose(&mix), Engine::Cached);
-        assert_ne!(p.choose(&mix), Engine::Streaming);
-    }
-
-    #[test]
-    fn streaming_wins_when_most_rows_are_already_ingested() {
-        let p = Planner::new();
-        let mut mix = family_mix();
-        mix.stream_prefix_rows = 56; // only 8 of 64 rows are new
-        assert_eq!(p.choose(&mix), Engine::Streaming);
-    }
-
-    #[test]
-    fn force_pins_feasible_choices_only() {
-        let p = Planner::new();
-        p.force(Some(Engine::Singleton));
-        assert_eq!(p.choose(&family_mix()), Engine::Singleton);
-        p.force(Some(Engine::Streaming));
-        // No stream prefix → forced engine infeasible → cost-based.
-        assert_ne!(p.choose(&family_mix()), Engine::Streaming);
-        p.force(None);
-        assert_eq!(p.stats().forced, None);
-        assert_eq!(p.choose(&family_mix()), Engine::SuffixResume);
-    }
-
-    #[test]
-    fn observe_calibrates_the_speed_scale_without_flipping_routes() {
-        let p = Planner::new();
-        let mix = family_mix();
-        let before = p.stats().unit_ns[Engine::SuffixResume.index()];
-        // Report every run as 10× slower than the bench seeds predict
-        // (e.g. a debug build): predictions must track the measurements…
-        for _ in 0..64 {
-            p.observe(
-                Engine::SuffixResume,
-                &mix,
-                mix.units(Engine::SuffixResume) * UNIT_NS_SEED[Engine::SuffixResume.index()] * 10,
-            );
-        }
-        let after = p.stats().unit_ns[Engine::SuffixResume.index()];
-        assert!(after > before * 8, "EWMA must track the measurements");
-        // …and the scale is global, so every engine slowed equally…
-        let s = p.stats();
-        assert!(s.unit_ns[Engine::WholeBatch.index()] > UNIT_NS_SEED[1] * 8);
-        // …which means routing — a function of the request mix and the
-        // benched *ratios* — does not flip under uniform slowdown.
-        assert_eq!(p.choose(&mix), Engine::SuffixResume);
-        assert_eq!(s.observations, 64);
-        assert!(s.pred_err_ppm > 0, "first observations were mispredicted");
-        // Once calibrated, fresh predictions match fresh measurements.
-        let calibrated = p.predicted_ns(Engine::SuffixResume, &mix);
-        let measured =
-            mix.units(Engine::SuffixResume) * UNIT_NS_SEED[Engine::SuffixResume.index()] * 10;
-        assert!(calibrated.abs_diff(measured) * 20 < measured, "within 5%");
-    }
-
-    #[test]
-    fn units_are_exact_row_layer_accounting() {
-        let mix = family_mix();
-        assert_eq!(mix.units(Engine::WholeBatch), 2 * 8 * 64 * 6);
-        assert_eq!(mix.units(Engine::SuffixResume), 64 * 6 + 64 * 8);
-        let mut m = mix;
-        m.cache_available = true;
-        m.cache_resident = true;
-        assert_eq!(m.units(Engine::Cached), 64 * 8);
-        m.stream_prefix_rows = 60;
-        assert_eq!(m.units(Engine::Streaming), 4 * 6 + 4 * 8);
-        assert_eq!(RequestMix::default().units(Engine::WholeBatch), 1);
-    }
-
-    #[test]
-    fn names_round_trip() {
-        for e in Engine::ALL {
-            assert_eq!(Engine::parse(e.name()), Some(e));
-            assert_eq!(Engine::from_index(e.index()), Some(e));
-        }
-        assert_eq!(Engine::parse("nonsense"), None);
-        assert_eq!(Engine::from_index(9), None);
     }
 }

@@ -16,14 +16,10 @@
 //! assigns each plan a **family** — the group of plans over content-equal
 //! networks (`Arc` identity *or* bitwise weight equality, proven at
 //! registration, never re-checked on the hot path) — and the batch
-//! evaluators route whole families through the cost-model
-//! [`Planner`]: per request mix the planner picks among
-//! the bitwise-equivalent engines (ARCHITECTURE contract 14), identical
-//! plans share one evaluation, and measured timings refine the cost model
-//! online.
+//! evaluators run whole families through one shared nominal pass, with
+//! identical plans sharing one evaluation.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use neurofail_nn::{net_to_bytes, BatchWorkspace, Mlp};
 use neurofail_tensor::Matrix;
@@ -31,7 +27,7 @@ use neurofail_tensor::Matrix;
 use crate::executor::{CompiledPlan, PlanError};
 use crate::ir::{Admission, AdmissionStats, PlanIr};
 use crate::plan::InjectionPlan;
-use crate::planner::{Engine, Planner, RequestMix};
+use crate::planner::Planner;
 use crate::store::ArtifactStore;
 
 /// Dense identifier of a plan within a [`PlanRegistry`] (and the shard
@@ -255,15 +251,10 @@ impl PlanRegistry {
         self.admission.stats()
     }
 
-    /// The planner routing this registry's batch evaluations.
+    /// Counters of this registry's batch evaluations (identical-plan
+    /// dedup hits).
     pub fn planner(&self) -> &Arc<Planner> {
         &self.planner
-    }
-
-    /// Replace the planner (e.g. to share one planner across registries,
-    /// or to install a forced-engine planner in tests).
-    pub fn set_planner(&mut self, planner: Arc<Planner>) {
-        self.planner = planner;
     }
 
     /// Iterate over `(id, entry)` pairs in registration order.
@@ -299,15 +290,13 @@ impl PlanRegistry {
         groups
     }
 
-    /// Evaluate many registered plans over one shared input set, engine
-    /// chosen per network family by the registry's [`Planner`]: plans are
-    /// grouped by content-equal network family (one nominal pass per
-    /// family at most), identical plans (same `(net, structure, value)`
-    /// key) are evaluated once and share their result, and the measured
-    /// duration refines the planner's cost model. Returns one disturbance
-    /// vector per id, aligned with `ids` — each **bitwise** equal to the
-    /// corresponding [`RegisteredPlan::eval_batch`] call, whatever engine
-    /// the planner picked (ARCHITECTURE contract 14).
+    /// Evaluate many registered plans over one shared input set through
+    /// the suffix engine: plans are grouped by content-equal network
+    /// family (one nominal pass per family), and identical plans (same
+    /// `(net, structure, value)` key) are evaluated once and share their
+    /// result. Returns one disturbance vector per id, aligned with `ids`
+    /// — each **bitwise** equal to the corresponding
+    /// [`RegisteredPlan::eval_batch`] call (ARCHITECTURE contract 5).
     ///
     /// # Panics
     /// If any id is unregistered, or `xs` column count mismatches a
@@ -316,15 +305,14 @@ impl PlanRegistry {
         self.eval_many_inner(ids, xs, None)
     }
 
-    /// [`PlanRegistry::eval_many`] with a
-    /// [`CheckpointCache`](crate::CheckpointCache) available to the
-    /// planner: the nominal checkpoint is looked up by `(net content,
-    /// input-set content)` — so a registry re-evaluated over an input set
-    /// it has seen before (repeated tolerance searches, periodic
-    /// re-certification sweeps) skips even the one nominal pass per
-    /// family. Results are **bitwise** identical to
-    /// [`PlanRegistry::eval_many`]; `scratch` absorbs the suffix
-    /// recomputation.
+    /// [`PlanRegistry::eval_many`] through a
+    /// [`CheckpointCache`](crate::CheckpointCache): the nominal
+    /// checkpoint is looked up by `(net content, input-set content)` — so
+    /// a registry re-evaluated over an input set it has seen before
+    /// (repeated tolerance searches, periodic re-certification sweeps)
+    /// skips even the one nominal pass per family. Results are
+    /// **bitwise** identical to [`PlanRegistry::eval_many`]; `scratch`
+    /// absorbs the suffix recomputation.
     ///
     /// # Panics
     /// As [`PlanRegistry::eval_many`].
@@ -347,7 +335,6 @@ impl PlanRegistry {
         let mut results: Vec<Vec<f64>> = vec![Vec::new(); ids.len()];
         for (family, positions) in self.group_by_family(ids) {
             let net = &self.families[family].rep;
-            let depth = net.depth();
             // Identical-plan dedup: evaluate each distinct plan key once,
             // alias the rest (bitwise-equal by the determinism contracts).
             let mut unique: Vec<usize> = Vec::new();
@@ -363,65 +350,27 @@ impl PlanRegistry {
                 }
             }
             self.planner.note_dedup(alias.len() as u64);
-            let suffix_layers: usize = unique
-                .iter()
-                .map(|&pos| depth - self.entries[ids[pos].0].ir.first_faulty_layer())
-                .sum();
-            let mix = RequestMix {
-                rows: xs.rows(),
-                plans: unique.len(),
-                depth,
-                suffix_layers,
-                cache_available: cache.is_some(),
-                cache_resident: cache.as_ref().is_some_and(|(c, _)| c.contains(net, xs)),
-                stream_prefix_rows: 0,
-            };
-            let engine = self.planner.choose(&mix);
-            let start = Instant::now();
-            match engine {
-                Engine::Cached => {
-                    let (cache, scratch) = cache.as_mut().expect("cached engine needs a cache");
+            let compiled = |pos: usize| self.entries[ids[pos].0].compiled();
+            match cache.as_mut() {
+                Some((cache, scratch)) => {
                     let ck = cache.checkpoint(net, xs);
                     for &pos in &unique {
-                        results[pos] = self.entries[ids[pos].0]
-                            .compiled()
-                            .output_error_checkpointed(net, xs, ck.ws, ck.nominal_y, scratch);
+                        results[pos] = compiled(pos).output_error_checkpointed(
+                            net,
+                            xs,
+                            ck.ws,
+                            ck.nominal_y,
+                            scratch,
+                        );
                     }
                 }
-                Engine::SuffixResume | Engine::Streaming => {
-                    // No ingest state lives here, so a (forced) streaming
-                    // pick runs the suffix engine — the engines share the
-                    // nominal-plus-resume shape and are bitwise equal.
+                None => {
                     let mut eval = crate::multi::MultiPlanEvaluator::new(net, xs);
                     for &pos in &unique {
-                        results[pos] = eval.output_error(self.entries[ids[pos].0].compiled());
-                    }
-                }
-                Engine::WholeBatch => {
-                    let mut ws = BatchWorkspace::default();
-                    for &pos in &unique {
-                        results[pos] = self.entries[ids[pos].0]
-                            .compiled()
-                            .output_error_batch(net, xs, &mut ws);
-                    }
-                }
-                Engine::Singleton => {
-                    let mut ws = BatchWorkspace::default();
-                    let mut row = Matrix::zeros(0, 0);
-                    for &pos in &unique {
-                        let compiled = self.entries[ids[pos].0].compiled();
-                        let mut out = Vec::with_capacity(xs.rows());
-                        for r in 0..xs.rows() {
-                            row.resize(1, xs.cols());
-                            row.row_mut(0).copy_from_slice(xs.row(r));
-                            out.push(compiled.output_error_batch(net, &row, &mut ws)[0]);
-                        }
-                        results[pos] = out;
+                        results[pos] = eval.output_error(compiled(pos));
                     }
                 }
             }
-            self.planner
-                .observe(engine, &mix, start.elapsed().as_nanos() as u64);
             for (pos, u) in alias {
                 results[pos] = results[unique[u]].clone();
             }
@@ -548,8 +497,7 @@ mod tests {
     #[test]
     fn eval_many_matches_per_plan_eval_batch_bitwise() {
         // Two nets, three plans (two sharing a net): eval_many must group
-        // by family and stay bitwise equal to per-plan evaluation — under
-        // every forced engine, not just the planner's pick.
+        // by family and stay bitwise equal to per-plan evaluation.
         let net_a = net();
         let net_b = net_b();
         let mut reg = PlanRegistry::new();
@@ -564,18 +512,14 @@ mod tests {
             .unwrap();
         let xs = Matrix::from_vec(3, 2, vec![0.5, 0.25, -0.4, 0.9, 0.0, 1.0]);
         let mut ws = BatchWorkspace::default();
-        for forced in std::iter::once(None).chain(Engine::ALL.map(Some)) {
-            reg.planner().force(forced);
-            let many = reg.eval_many(&[a0, b0, a1], &xs);
-            for (id, got) in [a0, b0, a1].iter().zip(&many) {
-                let direct = reg.get(*id).unwrap().eval_batch(&xs, &mut ws);
-                assert_eq!(got.len(), 3);
-                for (g, d) in got.iter().zip(&direct) {
-                    assert_eq!(g.to_bits(), d.to_bits(), "{id} forced={forced:?}");
-                }
+        let many = reg.eval_many(&[a0, b0, a1], &xs);
+        for (id, got) in [a0, b0, a1].iter().zip(&many) {
+            let direct = reg.get(*id).unwrap().eval_batch(&xs, &mut ws);
+            assert_eq!(got.len(), 3);
+            for (g, d) in got.iter().zip(&direct) {
+                assert_eq!(g.to_bits(), d.to_bits(), "{id}");
             }
         }
-        reg.planner().force(None);
     }
 
     #[test]
@@ -598,8 +542,7 @@ mod tests {
         let mut cache = crate::CheckpointCache::new(4);
         let mut scratch = BatchWorkspace::default();
         // Cold call: one miss per net group; warm call: one hit per group
-        // — and both are bitwise the uncached engine. The planner must
-        // keep picking the cached engine here or the counters drift.
+        // — and both are bitwise the uncached engine.
         for (round, expected_hits) in [(0u32, 0u64), (1, 2)] {
             let got = reg.eval_many_cached(&ids, &xs, &mut cache, &mut scratch);
             for (pi, (g, r)) in got.iter().zip(&reference).enumerate() {
@@ -614,8 +557,6 @@ mod tests {
             assert_eq!(cache.stats().hits, expected_hits);
         }
         assert_eq!(cache.stats().misses, 2);
-        let picks = reg.planner().stats().picks;
-        assert_eq!(picks[Engine::Cached.index()], 4, "2 families × 2 rounds");
     }
 
     #[test]

@@ -22,6 +22,9 @@
 //! * [`channel`] — bounded FIFO channels with deadline receives and clean
 //!   disconnect semantics, the backpressure substrate of the serving
 //!   engine's micro-batching queues (`neurofail-serve`).
+//! * [`oneshot`] — a first-fill-wins slot resolved once and awaited with
+//!   an optional timeout: serve's response handles and the fleet
+//!   router's request/reply handshakes.
 //!
 //! Design notes (following the workspace HPC guides):
 //!
@@ -39,6 +42,7 @@ pub mod channel;
 pub mod combinators;
 #[cfg(feature = "failpoints")]
 pub mod failpoint;
+pub mod oneshot;
 pub mod policy;
 pub mod seed;
 

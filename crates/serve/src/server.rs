@@ -58,15 +58,14 @@
 //! worker has wound down normally.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use neurofail_inject::{
-    ArtifactStore, Engine, PlanId, PlanRegistry, Planner, RegisteredPlan, RequestMix,
-};
+use neurofail_inject::{ArtifactStore, PlanId, PlanRegistry, RegisteredPlan};
 use neurofail_nn::{BatchWorkspace, Mlp, NoBatchTap};
 use neurofail_par::channel::{self, TrySendError};
+use neurofail_par::oneshot::Oneshot;
 use neurofail_par::seed::splitmix64;
 use neurofail_tensor::Matrix;
 use parking_lot::Mutex;
@@ -263,64 +262,28 @@ pub struct ServedResponse {
     pub latency: Duration,
 }
 
-/// The response rendezvous: a single shared allocation per request (much
-/// lighter on the submit path than an `mpsc` channel, which is why serve
-/// carries its own). The worker fulfills it once; dropping the worker-side
-/// [`Responder`] unfulfilled fails it typed so waiters never hang.
-#[derive(Debug)]
-struct OneShot {
-    slot: StdMutex<SlotState>,
-    ready: Condvar,
-}
+/// One request's resolution: its response, or why it failed.
+type Resolution = Result<ServedResponse, RequestError>;
 
-#[derive(Debug)]
-enum SlotState {
-    Pending,
-    Ready(ServedResponse),
-    Failed(RequestError),
-}
-
-impl OneShot {
-    fn new() -> Arc<OneShot> {
-        Arc::new(OneShot {
-            slot: StdMutex::new(SlotState::Pending),
-            ready: Condvar::new(),
-        })
-    }
-}
-
-/// Worker-side half of a [`OneShot`]: fulfil or fail exactly once;
-/// dropping it unresolved (worker panic with the row unrecoverable) fails
-/// it with [`RequestError::WorkerDied`] so the waiter errors instead of
-/// hanging.
-struct Responder(Arc<OneShot>);
+/// Worker-side half of a request's [`Oneshot`]: fulfil or fail it once.
+/// Dropping it unresolved (worker panic with the row unrecoverable) fails
+/// the request with [`RequestError::WorkerDied`] so the waiter errors
+/// instead of hanging; after an answer that fill is ignored.
+struct Responder(Arc<Oneshot<Resolution>>);
 
 impl Responder {
-    fn resolve(self, state: SlotState) {
-        let mut slot = self.0.slot.lock().unwrap_or_else(|e| e.into_inner());
-        *slot = state;
-        drop(slot);
-        self.0.ready.notify_one();
-        // The subsequent Drop sees a resolved slot and leaves it in place.
-    }
-
     fn send(self, resp: ServedResponse) {
-        self.resolve(SlotState::Ready(resp));
+        self.0.fill(Ok(resp));
     }
 
     fn fail(self, err: RequestError) {
-        self.resolve(SlotState::Failed(err));
+        self.0.fill(Err(err));
     }
 }
 
 impl Drop for Responder {
     fn drop(&mut self) {
-        let mut slot = self.0.slot.lock().unwrap_or_else(|e| e.into_inner());
-        if matches!(*slot, SlotState::Pending) {
-            *slot = SlotState::Failed(RequestError::WorkerDied);
-            drop(slot);
-            self.0.ready.notify_one();
-        }
+        self.0.fill(Err(RequestError::WorkerDied));
     }
 }
 
@@ -330,7 +293,7 @@ impl Drop for Responder {
 /// evaluates and logs the request.
 #[derive(Debug)]
 pub struct ResponseHandle {
-    slot: Arc<OneShot>,
+    slot: Arc<Oneshot<Resolution>>,
     seq: u64,
 }
 
@@ -355,31 +318,14 @@ impl ResponseHandle {
     /// # Errors
     /// As [`wait`](Self::wait).
     pub fn wait_response(self) -> Result<ServedResponse, RequestError> {
-        let mut slot = self.slot.slot.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            match *slot {
-                SlotState::Ready(resp) => return Ok(resp),
-                SlotState::Failed(err) => return Err(err),
-                SlotState::Pending => {
-                    slot = self
-                        .slot
-                        .ready
-                        .wait(slot)
-                        .unwrap_or_else(|e| e.into_inner());
-                }
-            }
-        }
+        self.slot.wait()
     }
 
     /// Non-blocking probe: `Some` once the request resolved — `Ok` with
     /// the response, `Err` with the typed failure. The resolution stays
     /// readable; a later [`wait`](Self::wait) returns it again.
     pub fn try_wait(&self) -> Option<Result<ServedResponse, RequestError>> {
-        match *self.slot.slot.lock().unwrap_or_else(|e| e.into_inner()) {
-            SlotState::Pending => None,
-            SlotState::Ready(resp) => Some(Ok(resp)),
-            SlotState::Failed(err) => Some(Err(err)),
-        }
+        self.slot.wait_for(Duration::ZERO)
     }
 
     /// Non-blocking probe for the success case only: `Some` once a
@@ -465,12 +411,6 @@ struct ShardShared {
     /// published back — so shard-mates, respawned workers, and future
     /// processes reuse each other's flushes. `None` = compute-only.
     store: Option<Arc<Mutex<ArtifactStore>>>,
-    /// The registry's cost-model planner (one instance shared by every
-    /// shard): flush routes are recorded here, and when neither streaming
-    /// state nor the store serves a flush, its cost model picks between
-    /// the suffix and whole-batch engines (bitwise invisible either way —
-    /// contract 14).
-    planner: Arc<Planner>,
 }
 
 /// One shard: the queue's send side, the supervisor handle, and the
@@ -610,7 +550,6 @@ impl CertServer {
                     strikes: (0..plan_count).map(|_| AtomicU32::new(0)).collect(),
                     quarantined: (0..plan_count).map(|_| AtomicBool::new(false)).collect(),
                     store: store.clone(),
-                    planner: Arc::clone(registry.planner()),
                 });
                 let handles: Vec<Option<JoinHandle<()>>> = (0..workers)
                     .map(|w| Some(spawn_worker(&shared, w, Vec::new(), ctl_tx.clone())))
@@ -681,7 +620,7 @@ impl CertServer {
         deadline: Option<Instant>,
     ) -> (Request, ResponseHandle) {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let oneshot = OneShot::new();
+        let oneshot = Oneshot::new();
         (
             Request {
                 slot,
@@ -893,11 +832,7 @@ impl CertServer {
         let &(shard, _) = self.routes.get(plan.0)?;
         let s = &self.shards[shard];
         let depth = s.tx.as_ref().map_or(0, channel::Sender::len);
-        let mut snap = s.shared.stats.snapshot(depth);
-        // The planner is shared by every shard (it is the registry's):
-        // its block reports server-wide routing, not per-shard slices.
-        snap.planner = s.shared.planner.stats();
-        Some(snap)
+        Some(s.shared.stats.snapshot(depth))
     }
 
     /// Whether `plan` is currently quarantined (crossed
@@ -966,12 +901,7 @@ impl CertServer {
     fn final_stats(&self) -> Vec<ServeStats> {
         self.routes
             .iter()
-            .map(|&(shard, _)| {
-                let shared = &self.shards[shard].shared;
-                let mut snap = shared.stats.snapshot(0);
-                snap.planner = shared.planner.stats();
-                snap
-            })
+            .map(|&(shard, _)| self.shards[shard].shared.stats.snapshot(0))
             .collect()
     }
 }
@@ -1230,7 +1160,6 @@ fn worker_loop(
                 .iter()
                 .zip(xs.data())
                 .all(|(a, b)| a.to_bits() == b.to_bits());
-        let mut store_hit = false;
         let ck_reused = if ck_hit {
             if rows > prev_rows {
                 tail.resize(rows - prev_rows, dim);
@@ -1261,7 +1190,6 @@ fn worker_loop(
                 Some(ys) => {
                     nominal.extend(ys);
                     stats.on_store_hit((rows * net.depth()) as u64);
-                    store_hit = true;
                 }
                 None => {
                     nominal.extend(net.forward_batch(&xs, &mut ws_nominal));
@@ -1271,45 +1199,6 @@ fn worker_loop(
             0
         };
         neurofail_par::failpoint!("serve::mid_flush");
-        // Route the flush. Streaming reuse and store hits are dictated by
-        // live state the cost model cannot see up front, so they are
-        // recorded as picks; otherwise the planner's cost model decides
-        // between the suffix and whole-batch engines for the flush's plan
-        // mix — a whole-batch pick resumes from layer 0 (a full faulty
-        // pass), bitwise identical to the suffix resume (contract 14).
-        let mut group_count = 0usize;
-        let mut total_suffix = 0usize;
-        {
-            let mut r0 = 0usize;
-            while r0 < rows {
-                let slot = inflight[order[r0]].as_ref().expect("staged").slot;
-                let mut r1 = r0 + 1;
-                while r1 < rows && inflight[order[r1]].as_ref().expect("staged").slot == slot {
-                    r1 += 1;
-                }
-                group_count += 1;
-                total_suffix += net.depth() - plans[slot].1.ir().first_faulty_layer();
-                r0 = r1;
-            }
-        }
-        let mix = RequestMix {
-            rows,
-            plans: group_count,
-            depth: net.depth(),
-            suffix_layers: total_suffix,
-            cache_available: store_hit,
-            cache_resident: store_hit,
-            stream_prefix_rows: if ck_hit { prev_rows } else { 0 },
-        };
-        let engine = if ck_hit {
-            shared.planner.note_pick(Engine::Streaming);
-            Engine::Streaming
-        } else if store_hit {
-            shared.planner.note_pick(Engine::Cached);
-            Engine::Cached
-        } else {
-            shared.planner.choose(&mix)
-        };
         values.clear();
         values.resize(rows, 0.0);
         let mut saved = 0u64;
@@ -1321,13 +1210,7 @@ fn worker_loop(
                 r1 += 1;
             }
             let entry = &plans[slot].1;
-            let from = match engine {
-                // A whole-batch (or singleton) pick recomputes the whole
-                // faulty pass: resume from layer 0. Nothing is saved and
-                // `saved` accounts exactly that.
-                Engine::WholeBatch | Engine::Singleton => 0,
-                _ => entry.ir().first_faulty_layer(),
-            };
+            let from = entry.ir().first_faulty_layer();
             // A panic between these two stores is attributed to `slot`'s
             // plan by the supervisor (strike accounting).
             shared.current_slot[w].store(slot, Ordering::Relaxed);
@@ -1373,7 +1256,6 @@ fn worker_loop(
         }
         let done = Instant::now();
         let flush_ns = done.duration_since(compute_start).as_nanos() as u64;
-        shared.planner.observe(engine, &mix, flush_ns);
         stats.observe_row_cost(flush_ns / rows as u64);
 
         // Phase 4: account, record, respond — in that order, so a caller

@@ -256,9 +256,6 @@ impl ShardStats {
             store_hits: self.store_hits.load(Ordering::Relaxed),
             store_rows_reused: self.store_rows_reused.load(Ordering::Relaxed),
             store_publishes: self.store_publishes.load(Ordering::Relaxed),
-            // Filled in by the server from its shared planner; a bare
-            // shard snapshot reports an empty block.
-            planner: neurofail_inject::PlannerStats::default(),
         }
     }
 }
@@ -344,13 +341,6 @@ pub struct ServeStats {
     /// Freshly computed flush checkpoints published to the store (what
     /// warm-starts shard-mates and future workers).
     pub store_publishes: u64,
-    /// Snapshot of the cost-model planner routing flushes (PR 9): per-
-    /// engine pick counts, identical-plan dedup hits, and the running
-    /// predicted-vs-actual cost error. The planner is shared server-wide
-    /// (it belongs to the registry the server was started from), so this
-    /// block is identical across shards and also counts any non-serving
-    /// traffic routed through the same registry.
-    pub planner: neurofail_inject::PlannerStats,
 }
 
 #[cfg(test)]

@@ -28,19 +28,13 @@
 //!   (default-on). It is implemented order-identically today, but the
 //!   documented contract is the conservative ≤ 1e-12 envelope against
 //!   portable, leaving room to retile.
-//! * [`BackendKind::Mixed32`] — a reduced-precision mode that stores
-//!   staged GEMM operands in `f32` but **accumulates in `f64`**, for
-//!   memory-bound shapes (and as a software model of the paper's ε′
-//!   reduced-precision robustness axis). Never auto-selected; its
-//!   agreement envelope is that of the f32 rounding of the operands
-//!   (~1e-7 relative), not 1e-12.
 //!
 //! ## Determinism contract (contract 11)
 //!
 //! Within one backend, every kernel consumes its terms in a fixed
 //! per-element order: results are bitwise reproducible run-to-run and
 //! across `Parallelism` settings **per backend**. Across backends the
-//! baseline is ≤ 1e-12 of portable (except Mixed32, see above) — with the
+//! baseline is ≤ 1e-12 of portable — with the
 //! single stronger claim that Portable ↔ AVX2 agree bitwise. Every kernel
 //! that multiplies activations or deltas applies the
 //! [`ops::SATURATION_FLUSH`] subnormal flush exactly as the portable
@@ -51,9 +45,9 @@
 //!
 //! The default backend is chosen once, on first use, from the
 //! `NEUROFAIL_BACKEND` environment variable (`portable`, `avx2`,
-//! `avx512`, `mixed32`, or `auto`), falling back to
-//! [`BackendKind::detect_best`] (best supported SIMD backend; never
-//! Mixed32). Two override layers sit above the default:
+//! `avx512`, or `auto`), falling back to
+//! [`BackendKind::detect_best`] (best supported SIMD backend). Two
+//! override layers sit above the default:
 //!
 //! * [`force_backend`] — a process-global override (used by the CI matrix
 //!   and benches);
@@ -79,17 +73,14 @@ pub enum BackendKind {
     /// AVX-512 microkernels (requires the `avx512` cargo feature and
     /// `avx512f` hardware support).
     Avx512 = 2,
-    /// f32-stored / f64-accumulated reduced-precision GEMM mode.
-    Mixed32 = 3,
 }
 
 impl BackendKind {
     /// Every kind, in preference order for reporting.
-    pub const ALL: [BackendKind; 4] = [
+    pub const ALL: [BackendKind; 3] = [
         BackendKind::Portable,
         BackendKind::Avx2,
         BackendKind::Avx512,
-        BackendKind::Mixed32,
     ];
 
     /// Stable lower-case name (the `NEUROFAIL_BACKEND` vocabulary).
@@ -98,7 +89,6 @@ impl BackendKind {
             BackendKind::Portable => "portable",
             BackendKind::Avx2 => "avx2",
             BackendKind::Avx512 => "avx512",
-            BackendKind::Mixed32 => "mixed32",
         }
     }
 
@@ -110,22 +100,20 @@ impl BackendKind {
             "portable" => Ok(BackendKind::Portable),
             "avx2" => Ok(BackendKind::Avx2),
             "avx512" => Ok(BackendKind::Avx512),
-            "mixed32" => Ok(BackendKind::Mixed32),
             "auto" | "" => Ok(BackendKind::detect_best()),
             other => Err(format!(
-                "unknown backend {other:?} (expected portable|avx2|avx512|mixed32|auto)"
+                "unknown backend {other:?} (expected portable|avx2|avx512|auto)"
             )),
         }
     }
 
     /// Whether this backend can run on the current machine/build.
     ///
-    /// Portable and Mixed32 are always supported (Mixed32 stages in f32
-    /// but is plain portable code). Avx2/Avx512 require runtime CPU
+    /// Portable is always supported. Avx2/Avx512 require runtime CPU
     /// support; Avx512 additionally requires the `avx512` cargo feature.
     pub fn is_supported(self) -> bool {
         match self {
-            BackendKind::Portable | BackendKind::Mixed32 => true,
+            BackendKind::Portable => true,
             BackendKind::Avx2 => {
                 #[cfg(target_arch = "x86_64")]
                 {
@@ -151,9 +139,8 @@ impl BackendKind {
         }
     }
 
-    /// The best supported *deterministic-precision* backend: AVX-512 if
-    /// available, else AVX2, else portable. Never selects Mixed32 (reduced
-    /// precision is opt-in only).
+    /// The best supported backend: AVX-512 if available, else AVX2, else
+    /// portable.
     pub fn detect_best() -> BackendKind {
         if BackendKind::Avx512.is_supported() {
             BackendKind::Avx512
@@ -259,8 +246,7 @@ fn kind_from_u8(v: u8) -> BackendKind {
     match v {
         0 => BackendKind::Portable,
         1 => BackendKind::Avx2,
-        2 => BackendKind::Avx512,
-        _ => BackendKind::Mixed32,
+        _ => BackendKind::Avx512,
     }
 }
 
@@ -351,7 +337,6 @@ pub fn backend_for(kind: BackendKind) -> &'static dyn ComputeBackend {
     );
     match kind {
         BackendKind::Portable => &PORTABLE,
-        BackendKind::Mixed32 => &MIXED32,
         #[cfg(target_arch = "x86_64")]
         BackendKind::Avx2 => &AVX2,
         #[cfg(all(target_arch = "x86_64", feature = "avx512"))]
@@ -1059,136 +1044,6 @@ impl ComputeBackend for Avx512Backend {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Mixed-precision (f32-store / f64-accumulate) backend
-// ---------------------------------------------------------------------------
-
-mod mixed32 {
-    use super::Matrix;
-    use std::cell::RefCell;
-
-    thread_local! {
-        static STAGE_A: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-        static STAGE_B: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-    }
-
-    fn stage(src: &[f64], buf: &mut Vec<f32>) {
-        buf.clear();
-        buf.extend(src.iter().map(|&v| v as f32));
-    }
-
-    /// `dot_fma` over f32-staged operands, widened per term and
-    /// accumulated in f64 in the portable lane order.
-    fn dot_widened(a: &[f32], b: &[f32]) -> f64 {
-        const L: usize = 8;
-        let a_chunks = a.chunks_exact(L);
-        let b_chunks = b.chunks_exact(L);
-        let (a_tail, b_tail) = (a_chunks.remainder(), b_chunks.remainder());
-        let mut acc = [0.0f64; L];
-        for (ca, cb) in a_chunks.zip(b_chunks) {
-            for i in 0..L {
-                acc[i] = (ca[i] as f64).mul_add(cb[i] as f64, acc[i]);
-            }
-        }
-        let mut tail = 0.0f64;
-        for (x, y) in a_tail.iter().zip(b_tail) {
-            tail = (*x as f64).mul_add(*y as f64, tail);
-        }
-        ((acc[0] + acc[4]) + (acc[1] + acc[5])) + ((acc[2] + acc[6]) + (acc[3] + acc[7])) + tail
-    }
-
-    /// `out = a · rhsᵀ` with both operands staged to f32 once per call.
-    pub(super) fn matmul_nt(a: &Matrix, rhs: &Matrix, out: &mut Matrix) {
-        let k = a.cols();
-        let n = rhs.rows();
-        STAGE_A.with(|ca| {
-            STAGE_B.with(|cb| {
-                let mut a32 = ca.borrow_mut();
-                let mut b32 = cb.borrow_mut();
-                stage(a.data(), &mut a32);
-                stage(rhs.data(), &mut b32);
-                for (ai, o_row) in out.data_mut().chunks_exact_mut(n).enumerate() {
-                    let a_row = &a32[ai * k..(ai + 1) * k];
-                    for (j, o) in o_row.iter_mut().enumerate() {
-                        *o = dot_widened(a_row, &b32[j * k..(j + 1) * k]);
-                    }
-                }
-            })
-        });
-    }
-
-    /// `out += aᵀ · rhs` with f32-staged operands, f64 accumulation in the
-    /// portable b-increasing order (the accumulator `out` stays f64).
-    pub(super) fn matmul_tn_acc(a: &Matrix, rhs: &Matrix, out: &mut Matrix) {
-        let m = a.cols();
-        let n = rhs.cols();
-        STAGE_A.with(|ca| {
-            STAGE_B.with(|cb| {
-                let mut a32 = ca.borrow_mut();
-                let mut x32 = cb.borrow_mut();
-                stage(a.data(), &mut a32);
-                stage(rhs.data(), &mut x32);
-                for (a_row, x_row) in a32.chunks_exact(m.max(1)).zip(x32.chunks_exact(n.max(1))) {
-                    for (j, &aj) in a_row.iter().enumerate() {
-                        let aj = aj as f64;
-                        let o_row = &mut out.data_mut()[j * n..(j + 1) * n];
-                        for (p, &x) in o_row.iter_mut().zip(x_row) {
-                            *p = aj.mul_add(x as f64, *p);
-                        }
-                    }
-                }
-            })
-        });
-    }
-}
-
-/// Reduced-precision GEMM backend: f32-staged operands, f64 accumulation.
-/// Opt-in only (never auto-detected); its agreement envelope against
-/// portable is the f32 rounding of the operands (~1e-7 relative), and the
-/// non-GEMM kernels delegate to the portable f64 implementations.
-#[derive(Debug)]
-pub struct Mixed32Backend;
-
-static MIXED32: Mixed32Backend = Mixed32Backend;
-
-impl ComputeBackend for Mixed32Backend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Mixed32
-    }
-
-    fn matmul_nt(&self, a: &Matrix, rhs: &Matrix, out: &mut Matrix) {
-        mixed32::matmul_nt(a, rhs, out);
-    }
-
-    fn matmul_tn_acc(&self, a: &Matrix, rhs: &Matrix, out: &mut Matrix) {
-        mixed32::matmul_tn_acc(a, rhs, out);
-    }
-
-    fn gemv_t_acc(&self, a: &Matrix, x: &[f64], y: &mut [f64]) {
-        a.gemv_t_acc_portable(x, y);
-    }
-
-    fn vexp(&self, xs: &[f64], out: &mut [f64]) {
-        ops::vexp_impl(xs, out);
-    }
-
-    fn vsigmoid(&self, gain: f64, xs: &[f64], out: &mut [f64]) {
-        ops::vsigmoid_impl(gain, xs, out);
-    }
-
-    fn vtanh(&self, gain: f64, xs: &[f64], out: &mut [f64]) {
-        ops::vtanh_impl(gain, xs, out);
-    }
-
-    fn vsigmoid_deriv(&self, gain: f64, ys: &[f64], out: &mut [f64]) {
-        ops::vsigmoid_deriv_impl(gain, ys, out);
-    }
-
-    fn vtanh_deriv(&self, k: f64, ys: &[f64], out: &mut [f64]) {
-        ops::vtanh_deriv_impl(k, ys, out);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1207,25 +1062,25 @@ mod tests {
         assert_eq!(BackendKind::parse("AVX2"), Ok(BackendKind::Avx2));
         assert_eq!(BackendKind::parse(" auto "), Ok(BackendKind::detect_best()));
         assert!(BackendKind::parse("sse9").is_err());
+        assert!(BackendKind::parse("mixed32").is_err());
     }
 
     #[test]
-    fn portable_and_mixed32_are_always_supported() {
+    fn portable_is_always_supported() {
         assert!(BackendKind::Portable.is_supported());
-        assert!(BackendKind::Mixed32.is_supported());
         assert!(supported_kinds().contains(&BackendKind::Portable));
-        // detect_best never selects the reduced-precision mode.
-        assert_ne!(BackendKind::detect_best(), BackendKind::Mixed32);
+        assert!(BackendKind::detect_best().is_supported());
     }
 
     #[test]
     fn with_backend_scopes_and_restores() {
         let ambient = active_kind();
+        let best = BackendKind::detect_best();
         let inner = with_backend(BackendKind::Portable, || {
             assert_eq!(active_kind(), BackendKind::Portable);
             // Nested scopes stack.
-            with_backend(BackendKind::Mixed32, || {
-                assert_eq!(active_kind(), BackendKind::Mixed32);
+            with_backend(best, || {
+                assert_eq!(active_kind(), best);
             });
             assert_eq!(active_kind(), BackendKind::Portable);
             active()
@@ -1244,9 +1099,6 @@ mod tests {
         for k in 1..=17usize {
             let (a, w) = mats(5, k, 7);
             for kind in supported_kinds() {
-                if kind == BackendKind::Mixed32 {
-                    continue; // reduced precision is exempt by contract
-                }
                 let mut got = Matrix::zeros(5, 7);
                 backend_for(kind).matmul_nt(&a, &w, &mut got);
                 for r in 0..5 {
@@ -1283,22 +1135,15 @@ mod tests {
                 backend_for(kind).matmul_nt(&a, &w, &mut got);
                 for r in 0..b {
                     for j in 0..n {
+                        // Portable ↔ AVX2 is the bitwise claim; the
+                        // AVX-512 kernel is order-identical today.
                         let (g, wv) = (got.get(r, j), want.get(r, j));
-                        match kind {
-                            // Portable ↔ AVX2 is the bitwise claim; the
-                            // AVX-512 kernel is order-identical today.
-                            BackendKind::Avx2 | BackendKind::Avx512 => assert_eq!(
-                                g.to_bits(),
-                                wv.to_bits(),
-                                "{} ({b},{k},{n}) at ({r},{j}): {g:e} vs {wv:e}",
-                                kind.name()
-                            ),
-                            _ => assert!(
-                                (g - wv).abs() <= 1e-5 * wv.abs().max(1.0),
-                                "{} ({b},{k},{n}) at ({r},{j}): {g:e} vs {wv:e}",
-                                kind.name()
-                            ),
-                        }
+                        assert_eq!(
+                            g.to_bits(),
+                            wv.to_bits(),
+                            "{} ({b},{k},{n}) at ({r},{j}): {g:e} vs {wv:e}",
+                            kind.name()
+                        );
                     }
                 }
             }
@@ -1327,20 +1172,12 @@ mod tests {
                 backend_for(kind).matmul_tn_acc(&a, &x, &mut got);
                 for j in 0..m {
                     for i in 0..n {
-                        let (g, wv) = (got.get(j, i), want.get(j, i));
-                        match kind {
-                            BackendKind::Avx2 | BackendKind::Avx512 => assert_eq!(
-                                g.to_bits(),
-                                wv.to_bits(),
-                                "{} ({b},{m},{n}) at ({j},{i})",
-                                kind.name()
-                            ),
-                            _ => assert!(
-                                (g - wv).abs() <= 1e-5 * wv.abs().max(1.0),
-                                "{} ({b},{m},{n}) at ({j},{i}): {g:e} vs {wv:e}",
-                                kind.name()
-                            ),
-                        }
+                        assert_eq!(
+                            got.get(j, i).to_bits(),
+                            want.get(j, i).to_bits(),
+                            "{} ({b},{m},{n}) at ({j},{i})",
+                            kind.name()
+                        );
                     }
                 }
             }
@@ -1376,21 +1213,5 @@ mod tests {
             be.vsigmoid_deriv(4.0, &xs, &mut act_got);
             assert_eq!(act_got, act_want, "{} vsigmoid_deriv", kind.name());
         }
-    }
-
-    #[test]
-    fn mixed32_tracks_portable_at_f32_rounding() {
-        let (a, w) = mats(9, 33, 11);
-        let mut want = Matrix::zeros(9, 11);
-        let mut got = Matrix::zeros(9, 11);
-        backend_for(BackendKind::Portable).matmul_nt(&a, &w, &mut want);
-        backend_for(BackendKind::Mixed32).matmul_nt(&a, &w, &mut got);
-        let mut max_rel = 0.0f64;
-        for (g, wv) in got.data().iter().zip(want.data()) {
-            max_rel = max_rel.max((g - wv).abs() / wv.abs().max(1.0));
-        }
-        // Inside the staged-f32 envelope, but (generically) not bitwise.
-        assert!(max_rel <= 1e-5, "mixed32 rel err {max_rel:e}");
-        assert!(max_rel > 0.0, "mixed32 should actually round through f32");
     }
 }

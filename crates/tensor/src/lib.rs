@@ -18,8 +18,8 @@
 //! No external BLAS: the workspace builds every substrate from scratch.
 //! The GEMM and activation kernels are dispatched at runtime through
 //! [`backend`]: the portable tiled kernels remain the bit-baseline, with
-//! AVX2/AVX-512 microkernels and a mixed-precision mode selected by CPU
-//! feature detection or the `NEUROFAIL_BACKEND` override.
+//! AVX2/AVX-512 microkernels selected by CPU feature detection or the
+//! `NEUROFAIL_BACKEND` override.
 
 #![warn(missing_docs)]
 

@@ -1,7 +1,7 @@
 //! Backend selection and dispatch contracts, exercised end to end:
 //!
 //! * the `NEUROFAIL_BACKEND` vocabulary (`portable` / `avx2` / `avx512` /
-//!   `mixed32` / `auto`) and its strict parse;
+//!   `auto`) and its strict parse;
 //! * `default_kind` honouring the environment override — the CI matrix
 //!   runs this whole suite once with `NEUROFAIL_BACKEND=portable` and
 //!   once with `auto`, so both legs of the env path are executed;
@@ -28,7 +28,7 @@ fn parse_vocabulary_is_the_env_contract() {
     assert_eq!(BackendKind::parse("portable"), Ok(BackendKind::Portable));
     assert_eq!(BackendKind::parse("avx2"), Ok(BackendKind::Avx2));
     assert_eq!(BackendKind::parse("avx512"), Ok(BackendKind::Avx512));
-    assert_eq!(BackendKind::parse("mixed32"), Ok(BackendKind::Mixed32));
+    assert!(BackendKind::parse("mixed32").is_err());
     assert_eq!(BackendKind::parse(" AVX2 "), Ok(BackendKind::Avx2));
     assert_eq!(BackendKind::parse("auto"), Ok(BackendKind::detect_best()));
     assert_eq!(BackendKind::parse(""), Ok(BackendKind::detect_best()));
@@ -51,14 +51,8 @@ fn default_kind_honours_the_env_override() {
 fn detection_is_coherent() {
     let supported = backend::supported_kinds();
     assert!(supported.contains(&BackendKind::Portable));
-    assert!(supported.contains(&BackendKind::Mixed32));
     let best = BackendKind::detect_best();
     assert!(best.is_supported());
-    assert_ne!(
-        best,
-        BackendKind::Mixed32,
-        "reduced precision is opt-in only"
-    );
     for f in backend::detected_features() {
         assert!(
             matches!(f, "avx2" | "fma" | "avx512f"),
@@ -77,8 +71,8 @@ fn scoped_override_beats_forced_beats_default() {
     backend::with_backend(best, || {
         assert_eq!(backend::active_kind(), best);
         // ...and nests.
-        backend::with_backend(BackendKind::Mixed32, || {
-            assert_eq!(backend::active_kind(), BackendKind::Mixed32);
+        backend::with_backend(BackendKind::Portable, || {
+            assert_eq!(backend::active_kind(), BackendKind::Portable);
         });
         assert_eq!(backend::active_kind(), best);
     });

@@ -23,12 +23,10 @@
 //! envelope rather than bitwise — it accumulates dot products in a
 //! different order and uses `libm` transcendentals.
 //!
-//! A **planner sweep** rides on the same generator: the plans are
-//! registered in a [`neurofail::inject::PlanRegistry`] and every engine
-//! the cost-model planner can pick is forced in turn
-//! ([`Planner::force`]), each held bitwise to the whole-batch reference —
-//! the executable form of ARCHITECTURE contract 14 (planner
-//! invisibility).
+//! The **registry routes** ride on the same generator: the plans are
+//! registered in a [`neurofail::inject::PlanRegistry`] and evaluated
+//! through `eval_many` and through `eval_many_cached` cold then warm, each
+//! held bitwise to the whole-batch reference.
 //!
 //! A **compute-backend sweep** rides on the same generator: the
 //! whole-batch engine is re-run under every supported
@@ -211,59 +209,33 @@ proptest! {
             }
         }
 
-        // Planner dimension (ARCHITECTURE contract 14): register the same
-        // plans in a registry and force every engine the cost-model
-        // planner can pick, asserting each forced choice returns results
-        // bitwise equal to the whole-batch reference. `Cached` is forced
-        // through `eval_many_cached` twice so both the cold (miss) and
-        // warm (checkpoint hit) paths are covered; an infeasible forced
-        // engine falls back to the cost model, which still must agree.
+        // Registry routes: the same plans registered in a registry, run
+        // through `eval_many` (suffix engine) and `eval_many_cached` cold
+        // (checkpoint miss) then warm (checkpoint hit), each held bitwise
+        // to the whole-batch reference.
         {
-            use neurofail::inject::{CheckpointCache, Engine, PlanRegistry};
+            use neurofail::inject::{CheckpointCache, PlanRegistry};
             let mut registry = PlanRegistry::new();
             let ids: Vec<_> = plans
                 .iter()
                 .map(|p| registry.register_compiled(Arc::clone(&net), p.clone()))
                 .collect();
-            for engine in Engine::ALL {
-                registry.planner().force(Some(engine));
-                let got = if engine == Engine::Cached {
-                    let mut cache = CheckpointCache::new(2);
-                    let mut scratch = BatchWorkspace::default();
-                    let cold = registry.eval_many_cached(&ids, &xs, &mut cache, &mut scratch);
-                    let warm = registry.eval_many_cached(&ids, &xs, &mut cache, &mut scratch);
-                    for (pi, (c, w)) in cold.iter().zip(&warm).enumerate() {
-                        prop_assert_eq!(c.len(), w.len());
-                        for (b, (cv, wv)) in c.iter().zip(w).enumerate() {
-                            prop_assert_eq!(
-                                cv.to_bits(), wv.to_bits(),
-                                "cached cold vs warm: plan {}, row {}", pi, b
-                            );
-                        }
-                    }
-                    warm
-                } else {
-                    registry.eval_many(&ids, &xs)
-                };
+            let mut cache = CheckpointCache::new(2);
+            let mut scratch = BatchWorkspace::default();
+            let routes = [
+                ("eval_many", registry.eval_many(&ids, &xs)),
+                ("cached cold", registry.eval_many_cached(&ids, &xs, &mut cache, &mut scratch)),
+                ("cached warm", registry.eval_many_cached(&ids, &xs, &mut cache, &mut scratch)),
+            ];
+            for (route, got) in &routes {
                 for (pi, (g, w)) in got.iter().zip(&whole).enumerate() {
                     prop_assert_eq!(g.len(), w.len());
                     for (b, (gv, wv)) in g.iter().zip(w).enumerate() {
                         prop_assert_eq!(
                             gv.to_bits(), wv.to_bits(),
-                            "forced {} vs whole-batch: plan {}, row {}",
-                            engine.name(), pi, b
+                            "{} vs whole-batch: plan {}, row {}", route, pi, b
                         );
                     }
-                }
-            }
-            registry.planner().force(None);
-            let free = registry.eval_many(&ids, &xs);
-            for (pi, (g, w)) in free.iter().zip(&whole).enumerate() {
-                for (b, (gv, wv)) in g.iter().zip(w).enumerate() {
-                    prop_assert_eq!(
-                        gv.to_bits(), wv.to_bits(),
-                        "planner free choice vs whole-batch: plan {}, row {}", pi, b
-                    );
                 }
             }
         }
@@ -271,9 +243,7 @@ proptest! {
         // Backend sweep: the same whole-batch evaluation under every
         // supported compute backend, against a forced-portable reference.
         // AVX2 is bitwise by the documented contract; any other SIMD
-        // backend rides at the ≤ 1e-12 per-backend envelope. Mixed32 is
-        // opt-in reduced precision with its own (wider) envelope and is
-        // exercised by the dedicated backend suites instead.
+        // backend rides at the ≤ 1e-12 per-backend envelope.
         let portable: Vec<Vec<f64>> = backend::with_backend(BackendKind::Portable, || {
             plans
                 .iter()
@@ -281,9 +251,6 @@ proptest! {
                 .collect()
         });
         for kind in backend::supported_kinds() {
-            if kind == BackendKind::Mixed32 {
-                continue;
-            }
             let got: Vec<Vec<f64>> = backend::with_backend(kind, || {
                 plans
                     .iter()

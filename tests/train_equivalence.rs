@@ -142,8 +142,7 @@ proptest! {
 /// dense and mixed conv/dense nets, plus a full 6-epoch trajectory, under
 /// every supported compute backend against a forced-portable reference.
 /// AVX2 must reproduce portable bitwise (the documented contract); any
-/// other SIMD backend rides at ≤ 1e-12 per element. Mixed32 is opt-in
-/// reduced precision and is covered by `tests/backend_dispatch.rs`.
+/// other SIMD backend rides at ≤ 1e-12 per element.
 #[test]
 fn batched_gradients_and_training_agree_across_backends() {
     use neurofail::tensor::backend::{self, BackendKind};
@@ -161,9 +160,6 @@ fn batched_gradients_and_training_agree_across_backends() {
         };
         let (ploss, pgrads) = grads_under(BackendKind::Portable);
         for kind in backend::supported_kinds() {
-            if kind == BackendKind::Mixed32 {
-                continue;
-            }
             let (loss, grads) = grads_under(kind);
             let ctx = format!("backend {} (d={d})", kind.name());
             if matches!(kind, BackendKind::Portable | BackendKind::Avx2) {
@@ -211,9 +207,6 @@ fn batched_gradients_and_training_agree_across_backends() {
     };
     let (pnet, preport) = train_under(BackendKind::Portable);
     for kind in backend::supported_kinds() {
-        if kind == BackendKind::Mixed32 {
-            continue;
-        }
         let (net, report) = train_under(kind);
         if matches!(kind, BackendKind::Portable | BackendKind::Avx2) {
             assert_eq!(net, pnet, "trajectory under {}", kind.name());
