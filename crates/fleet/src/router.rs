@@ -42,7 +42,7 @@ use neurofail_inject::{
     merge_trials, Admission, CampaignConfig, CampaignResult, InjectionPlan, PlanError, TrialKind,
     TrialResult,
 };
-use neurofail_nn::{net_to_bytes, Mlp};
+use neurofail_nn::{net_to_bytes, Mlp, NetId};
 use neurofail_par::oneshot::Oneshot;
 use neurofail_serve::ServeConfig;
 
@@ -1262,17 +1262,19 @@ impl FleetRouter {
         hot: bool,
     ) -> Result<FleetPlanId, FleetError> {
         // Admission happens exactly once, at the router: typed rejection
-        // here, and the IR's structure hash becomes the routing fact.
+        // here, and the IR's structure hash becomes the routing fact. The
+        // network's identity is built once and its bytes are the frame's.
+        let id = NetId::of(net);
         let ir = self
             .admission
             .lock()
             .expect("admission mutex")
-            .admit(net, plan, capacity, None)
+            .admit(net, &id, plan, capacity, None)
             .map_err(FleetError::Admission)?;
         let slot = Oneshot::new();
         self.tx
             .send(Event::Cmd(Cmd::Register {
-                net_bytes: net_to_bytes(net),
+                net_bytes: id.bytes().to_vec(),
                 plan_bytes: crate::proto::plan_to_bytes(plan),
                 capacity,
                 input_dim: net.input_dim(),

@@ -8,25 +8,23 @@
 //! repeated campaigns re-certify fixed input sets, and
 //! [`PlanRegistry::eval_many`](crate::PlanRegistry::eval_many) calls
 //! arrive over long-lived input sets. [`CheckpointCache`] memoises the
-//! nominal checkpoint itself, keyed by **(network content hash,
-//! input-set content hash)**: a hit returns the stored [`BatchWorkspace`] taps and
+//! nominal checkpoint itself, keyed by **(network identity, input-set
+//! content hash)**: a hit returns the stored [`BatchWorkspace`] taps and
 //! nominal outputs, so the whole evaluation reduces to per-plan faulty
 //! suffixes.
 //!
 //! ## Key semantics and the determinism contract
 //!
-//! * **Network identity is content**, not address: [`net_content_hash`]
-//!   folds the topology (layer kinds, dimensions, activation tags and
-//!   gains) and every parameter's raw f64 bit pattern into the key, so
-//!   two `Arc<Mlp>` handles with bitwise-equal parameters share a
-//!   checkpoint — a deserialised or re-cloned network hits the entries
-//!   its original populated. A pointer-identity fast path
-//!   (`Arc::ptr_eq`) skips the parameter comparison in the common case;
-//!   when pointers differ, the hit is verified structurally and bitwise
-//!   (`net_content_eq`), so a recycled allocation address can never
-//!   alias a different network. Mutating a cached network in place
-//!   through `layers_mut` is outside the contract, exactly as for the
-//!   suffix engine's checkpoints.
+//! * **Network identity is content**, not address: a [`NetId`] — the
+//!   network's canonical bytes and their checksum — so two `Arc<Mlp>`
+//!   handles with bitwise-equal parameters share a checkpoint, and a
+//!   deserialised or re-cloned network hits the entries its original
+//!   populated. Each entry keeps its network's `NetId`, computed once. A
+//!   lookup whose `Arc` is pointer-equal to a resident entry's is that
+//!   entry's network and computes no identity (the entry's strong
+//!   reference keeps the pointee alive and unmodifiable, so a recycled
+//!   address can never alias a different network); any other handle has
+//!   its `NetId` computed once and matched by hash, then bytes.
 //! * **Input-set content hash**: [`input_set_hash`] folds the dimensions
 //!   and the raw f64 *bit patterns* of the input matrix (FNV-1a over
 //!   64-bit words, SplitMix64-finalised). Bitwise-equal input sets — the
@@ -34,11 +32,11 @@
 //!   collide onto the same key; numerically equal but bitwise distinct
 //!   sets (`-0.0` vs `0.0`) deliberately do not.
 //! * The hashes are the *index*, not the proof: every entry stores its
-//!   input set (and its network handle), and a hit additionally verifies
-//!   both bitwise, so a 64-bit hash collision degrades to a miss, never
-//!   to a wrong checkpoint. Cached results are therefore **bitwise**
-//!   equal to cold-path evaluation, and eviction can never change a
-//!   value — only cost (`tests/incremental_equivalence.rs`).
+//!   input set and its network's bytes, and a hit verifies both bitwise,
+//!   so a 64-bit hash collision degrades to a miss, never to a wrong
+//!   checkpoint. Cached results are therefore **bitwise** equal to
+//!   cold-path evaluation, and eviction can never change a value — only
+//!   cost (`tests/incremental_equivalence.rs`).
 //!
 //! Eviction is LRU over a fixed entry capacity; [`CacheStats`] reports
 //! hits, misses, evictions, resident bytes, and the layer-rows of nominal
@@ -59,140 +57,27 @@
 
 use std::sync::Arc;
 
-use neurofail_nn::{BatchWorkspace, Layer, Mlp};
-use neurofail_par::seed::splitmix64;
+use neurofail_nn::{BatchWorkspace, Mlp, NetId};
+use neurofail_tensor::io::checksum64_words;
 use neurofail_tensor::Matrix;
 
 use crate::executor::CompiledPlan;
 use crate::store::{ArtifactStore, StoreStats};
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
 /// Content hash of an input set: dimensions plus every element's raw bit
-/// pattern, folded FNV-1a-style over 64-bit words and finalised with
-/// SplitMix64. A pure function of the matrix's bits — equal bits always
-/// hash equal, so bitwise-identical input sets address the same cache
-/// slot on any host and any run.
+/// pattern, folded by [`checksum64_words`]. A pure function of the
+/// matrix's bits — equal bits always hash equal, so bitwise-identical
+/// input sets address the same cache slot on any host and any run.
 pub fn input_set_hash(xs: &Matrix) -> u64 {
-    let mut h = FNV_OFFSET;
-    let mut mix = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(FNV_PRIME);
-    };
-    mix(xs.rows() as u64);
-    mix(xs.cols() as u64);
-    for &v in xs.data() {
-        mix(v.to_bits());
-    }
-    splitmix64(h)
+    let bits = xs.data().iter().map(|v| v.to_bits());
+    checksum64_words([xs.rows() as u64, xs.cols() as u64].into_iter().chain(bits))
 }
 
-/// Discriminant pair folded into [`net_content_hash`] for an activation:
-/// a variant tag plus the raw bits of its gain (0 for the gain-free
-/// variants). Bitwise-equal gains — the only kind for which forward
-/// passes agree bitwise — hash equal; `k = 1.0` vs `k = 1.0 + 1 ulp`
-/// deliberately do not.
-fn activation_key(a: neurofail_nn::Activation) -> (u64, u64) {
-    use neurofail_nn::Activation;
-    match a {
-        Activation::Sigmoid { k } => (1, k.to_bits()),
-        Activation::Tanh { k } => (2, k.to_bits()),
-        Activation::Relu => (3, 0),
-        Activation::Identity => (4, 0),
-    }
-}
-
-/// Content hash of a network: topology (layer kinds, dimensions,
-/// activation tags and gains) plus every parameter's raw f64 bit
-/// pattern, folded with the same FNV-1a / SplitMix64 scheme as
-/// [`input_set_hash`]. A pure function of the network's bits — two
-/// handles to bitwise-equal networks (clones, deserialised copies)
-/// hash equal on any host and any run, while a one-ulp parameter
-/// perturbation hashes apart.
+/// The content hash of a network: [`NetId::hash`]. Builds a whole
+/// [`NetId`] to answer, so callers that look up a network repeatedly
+/// keep the `NetId` instead.
 pub fn net_content_hash(net: &Mlp) -> u64 {
-    let mut h = FNV_OFFSET;
-    let mut mix = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(FNV_PRIME);
-    };
-    mix(net.input_dim() as u64);
-    mix(net.depth() as u64);
-    for layer in net.layers() {
-        match layer {
-            Layer::Dense(d) => {
-                mix(0);
-                let (tag, k) = activation_key(d.activation());
-                mix(tag);
-                mix(k);
-                mix(d.weights().rows() as u64);
-                mix(d.weights().cols() as u64);
-                for &w in d.weights().data() {
-                    mix(w.to_bits());
-                }
-                mix(d.bias().len() as u64);
-                for &b in d.bias() {
-                    mix(b.to_bits());
-                }
-            }
-            Layer::Conv1d(c) => {
-                mix(1);
-                let (tag, k) = activation_key(c.activation());
-                mix(tag);
-                mix(k);
-                mix(c.in_dim() as u64);
-                mix(c.kernels().rows() as u64);
-                mix(c.kernels().cols() as u64);
-                for &w in c.kernels().data() {
-                    mix(w.to_bits());
-                }
-                mix(c.bias().len() as u64);
-                for &b in c.bias() {
-                    mix(b.to_bits());
-                }
-            }
-        }
-    }
-    mix(net.output_weights().len() as u64);
-    for &w in net.output_weights() {
-        mix(w.to_bits());
-    }
-    mix(net.output_bias().to_bits());
-    splitmix64(h)
-}
-
-/// Structural-and-bitwise network equality: the verification a cache hit
-/// runs when the handles are not pointer-identical. True exactly when
-/// every quantity folded into [`net_content_hash`] matches, so a hash
-/// collision between genuinely different networks degrades to a miss.
-fn net_content_eq(a: &Mlp, b: &Mlp) -> bool {
-    let bits_eq = |x: &[f64], y: &[f64]| {
-        x.len() == y.len() && x.iter().zip(y).all(|(p, q)| p.to_bits() == q.to_bits())
-    };
-    let mat_eq = |x: &Matrix, y: &Matrix| {
-        x.rows() == y.rows() && x.cols() == y.cols() && bits_eq(x.data(), y.data())
-    };
-    a.input_dim() == b.input_dim()
-        && a.depth() == b.depth()
-        && a.layers()
-            .iter()
-            .zip(b.layers())
-            .all(|(la, lb)| match (la, lb) {
-                (Layer::Dense(x), Layer::Dense(y)) => {
-                    activation_key(x.activation()) == activation_key(y.activation())
-                        && mat_eq(x.weights(), y.weights())
-                        && bits_eq(x.bias(), y.bias())
-                }
-                (Layer::Conv1d(x), Layer::Conv1d(y)) => {
-                    activation_key(x.activation()) == activation_key(y.activation())
-                        && x.in_dim() == y.in_dim()
-                        && mat_eq(x.kernels(), y.kernels())
-                        && bits_eq(x.bias(), y.bias())
-                }
-                _ => false,
-            })
-        && bits_eq(a.output_weights(), b.output_weights())
-        && a.output_bias().to_bits() == b.output_bias().to_bits()
+    NetId::of(net).hash()
 }
 
 /// One resident checkpoint: the `(net, xs)` witness pair plus the nominal
@@ -200,10 +85,9 @@ fn net_content_eq(a: &Mlp, b: &Mlp) -> bool {
 #[derive(Debug)]
 struct CacheEntry {
     net: Arc<Mlp>,
-    /// [`net_content_hash`] of `net` at insertion time — the network half
-    /// of the key (verified via `Arc::ptr_eq` or [`net_content_eq`] on a
-    /// candidate hit).
-    net_hash: u64,
+    /// The network half of the key, computed once for `net`.
+    id: NetId,
+    /// [`input_set_hash`] of `xs`.
     hash: u64,
     /// The exact input set the checkpoint was computed over — the bitwise
     /// witness a hit is verified against (hash collisions degrade to
@@ -364,15 +248,16 @@ impl CheckpointCache {
     /// Whether a checkpoint for `(net, xs)` is resident in memory right
     /// now — a guaranteed [`CheckpointCache::checkpoint`] hit. Pure read:
     /// no counters move, no recency updates, the disk tier is not
-    /// consulted. It hashes the whole network, so evaluation paths call
-    /// [`CheckpointCache::checkpoint`] directly instead of probing first.
+    /// consulted.
     pub fn contains(&self, net: &Arc<Mlp>, xs: &Matrix) -> bool {
-        let hash = input_set_hash(xs);
-        let net_hash = net_content_hash(net);
-        self.entries.iter().any(|e| {
-            e.net_hash == net_hash
-                && e.hash == hash
-                && (Arc::ptr_eq(&e.net, net) || net_content_eq(&e.net, net))
+        self.find(net, xs, input_set_hash(xs)).is_ok()
+    }
+
+    /// The resident entry for `(net, xs)`, or on a miss the network's
+    /// identity, for the store calls and the new entry.
+    fn find(&self, net: &Arc<Mlp>, xs: &Matrix, hash: u64) -> Result<usize, NetId> {
+        let holds = |e: &CacheEntry| {
+            e.hash == hash
                 && e.xs.rows() == xs.rows()
                 && e.xs.cols() == xs.cols()
                 && e.xs
@@ -380,7 +265,26 @@ impl CheckpointCache {
                     .iter()
                     .zip(xs.data())
                     .all(|(a, b)| a.to_bits() == b.to_bits())
-        })
+        };
+        // An entry whose `Arc` is pointer-equal to the caller's holds the
+        // same network: the entry's strong reference keeps the pointee
+        // alive, and safe code cannot change it while it is shared
+        // (`Arc::get_mut` returns `None`, `Arc::make_mut` clones). So the
+        // entry's `NetId` is still the pointee's, and no identity needs
+        // computing.
+        let same_arc = |e: &CacheEntry| Arc::ptr_eq(&e.net, net);
+        if let Some(i) = self.entries.iter().position(|e| same_arc(e) && holds(e)) {
+            return Ok(i);
+        }
+        let id = match self.entries.iter().find(|e| same_arc(e)) {
+            Some(e) => e.id.clone(),
+            None => NetId::of(net),
+        };
+        // Any other handle: hashes index, bytes prove.
+        self.entries
+            .iter()
+            .position(|e| e.id == id && holds(e))
+            .ok_or(id)
     }
 
     /// Look up the nominal checkpoint for `(net, xs)`, running the
@@ -388,34 +292,22 @@ impl CheckpointCache {
     /// bitwise identical either way — a hit only changes cost.
     pub fn checkpoint(&mut self, net: &Arc<Mlp>, xs: &Matrix) -> CachedCheckpoint<'_> {
         let hash = input_set_hash(xs);
-        let net_hash = net_content_hash(net);
         self.tick += 1;
-        let found = self.entries.iter().position(|e| {
-            e.net_hash == net_hash
-                && e.hash == hash
-                && (Arc::ptr_eq(&e.net, net) || net_content_eq(&e.net, net))
-                && e.xs.rows() == xs.rows()
-                && e.xs.cols() == xs.cols()
-                && e.xs
-                    .data()
-                    .iter()
-                    .zip(xs.data())
-                    .all(|(a, b)| a.to_bits() == b.to_bits())
-        });
-        let (idx, hit) = match found {
-            Some(idx) => {
+        let (idx, hit) = match self.find(net, xs, hash) {
+            Ok(idx) => {
                 self.hits += 1;
                 self.nominal_rows_saved += (net.depth() * xs.rows()) as u64;
                 self.entries[idx].last_used = self.tick;
                 (idx, true)
             }
-            None => {
+            Err(id) => {
                 // Disk tier, before any entry mutation: a verified store
                 // hit skips the nominal pass exactly like a memory hit,
                 // and the rehydrated checkpoint is promoted to memory.
                 let store_hit = self.store.as_mut().and_then(|s| {
                     let mut ws = BatchWorkspace::default();
-                    s.load_checkpoint(net, xs, &mut ws).map(|y| (ws, y))
+                    s.load_checkpoint_with_id(net, &id, xs, &mut ws)
+                        .map(|y| (ws, y))
                 });
                 let from_store = store_hit.is_some();
                 if !from_store {
@@ -455,7 +347,7 @@ impl CheckpointCache {
                         // publish can cost a future warm start, never the
                         // current evaluation.
                         if let Some(store) = &mut self.store {
-                            let _ = store.publish_checkpoint(net, xs, &ws, &y);
+                            let _ = store.publish_checkpoint_with_id(net, &id, xs, &ws, &y);
                         }
                         (ws, y)
                     }
@@ -466,7 +358,7 @@ impl CheckpointCache {
                     (tap_elems + nominal_y.len() + xs.data().len()) * std::mem::size_of::<f64>();
                 self.entries.push(CacheEntry {
                     net: Arc::clone(net),
-                    net_hash,
+                    id,
                     hash,
                     xs: xs.clone(),
                     ws,
@@ -516,6 +408,7 @@ mod tests {
     use neurofail_data::rng::rng;
     use neurofail_nn::activation::Activation;
     use neurofail_nn::builder::MlpBuilder;
+    use neurofail_nn::Layer;
     use neurofail_tensor::init::Init;
 
     fn net(seed: u64) -> Arc<Mlp> {
@@ -550,6 +443,10 @@ mod tests {
         let flat = Matrix::from_vec(2, 3, vec![1.0; 6]);
         let tall = Matrix::from_vec(3, 2, vec![1.0; 6]);
         assert_ne!(input_set_hash(&flat), input_set_hash(&tall));
+        // Store records are keyed by these values: pinned.
+        let xs = Matrix::from_vec(2, 2, vec![0.5, -0.25, 0.0, -0.0]);
+        assert_eq!(input_set_hash(&xs), 0x6fe5_e223_9539_46bb);
+        assert_eq!(input_set_hash(&Matrix::zeros(0, 3)), 0x7c7d_fef4_15f4_b1f8);
     }
 
     #[test]
@@ -624,6 +521,7 @@ mod tests {
         let net_clone = Arc::new((*net_a).clone());
         assert!(!Arc::ptr_eq(&net_a, &net_clone));
         assert_eq!(net_content_hash(&net_a), net_content_hash(&net_clone));
+        assert!(cache.contains(&net_clone, &xs));
         assert!(
             cache.checkpoint(&net_clone, &xs).hit,
             "content-equal handle must hit"
@@ -644,26 +542,6 @@ mod tests {
             "one-ulp weight flip must miss"
         );
         assert_eq!(cache.stats().entries, 2);
-    }
-
-    #[test]
-    fn net_content_eq_discriminates_structure() {
-        let a = net(1);
-        assert!(net_content_eq(&a, &a.clone()));
-        assert!(!net_content_eq(&a, &net(2)));
-        // Activation gain is part of content.
-        let mut g = (*a).clone();
-        if let Layer::Dense(d) = &mut g.layers_mut()[0] {
-            *d = with_activation(d, Activation::Sigmoid { k: 1.5 });
-        }
-        assert!(!net_content_eq(&a, &g));
-    }
-
-    fn with_activation(
-        d: &neurofail_nn::layer::DenseLayer,
-        a: Activation,
-    ) -> neurofail_nn::layer::DenseLayer {
-        neurofail_nn::layer::DenseLayer::new(d.weights().clone(), d.bias().to_vec(), a)
     }
 
     #[test]

@@ -25,18 +25,17 @@
 //!   (record kind 2), so a restarted process warm-starts admission from
 //!   disk with the record re-verified bitwise against the live network.
 //!
-//! Identities are content hashes (the network's content hash plus a hash
-//! of the canonical structure bytes) — and, as everywhere else in the
-//! store/cache stack, *hashes index, bytes prove*: every dedup or warm hit
-//! is confirmed by byte comparison / bitwise re-validation before a body
-//! is shared.
+//! Identities are the caller's [`NetId`] (computed once per network by
+//! its owner, never here) plus a hash of the canonical structure bytes —
+//! and, as everywhere else in the store/cache stack, *hashes index, bytes
+//! prove*: every dedup or warm hit is confirmed by byte comparison /
+//! bitwise re-validation before a body is shared.
 
 use std::sync::Arc;
 
-use neurofail_nn::{net_to_bytes, Mlp};
+use neurofail_nn::{Mlp, NetId};
 use neurofail_tensor::io::{checksum64, ByteWriter};
 
-use crate::cache::net_content_hash;
 use crate::executor::{CompiledPlan, PlanError, PlanValues};
 use crate::plan::{InjectionPlan, NeuronFault, SynapseFault, SynapseTarget};
 use crate::store::ArtifactStore;
@@ -60,11 +59,6 @@ pub struct PlanIr {
 }
 
 impl PlanIr {
-    /// Content hash of the network the plan was admitted against.
-    pub fn net_hash(&self) -> u64 {
-        self.net_hash
-    }
-
     /// Hash of the canonical structure bytes (sites, fault kinds,
     /// capacity — fault values excluded). Plans sharing this (and the
     /// net hash) share one compiled body.
@@ -132,7 +126,7 @@ pub struct AdmissionStats {
 
 #[derive(Debug, Clone)]
 struct BodyEntry {
-    net_hash: u64,
+    id: NetId,
     structure_hash: u64,
     structure: Vec<u8>,
     body: Arc<CompiledPlan>,
@@ -164,7 +158,8 @@ impl Admission {
         self.bodies.len()
     }
 
-    /// Admit `plan` against `net` under capacity `capacity`, optionally
+    /// Admit `plan` against `net`, whose identity the caller passes as
+    /// `id` (`NetId::of(net)`), under capacity `capacity`, optionally
     /// consulting/feeding an [`ArtifactStore`] (compiled-plan records,
     /// kind 2) for warm-started admission across restarts.
     ///
@@ -178,38 +173,34 @@ impl Admission {
     pub fn admit(
         &mut self,
         net: &Arc<Mlp>,
+        id: &NetId,
         plan: &InjectionPlan,
         capacity: f64,
         mut store: Option<&mut ArtifactStore>,
     ) -> Result<PlanIr, PlanError> {
         assert!(capacity > 0.0, "capacity must be positive");
-        let net_hash = net_content_hash(net);
         let depth = net.depth();
         if let Some(structure) = plan_structure_bytes(plan, depth, capacity) {
             let structure_hash = checksum64(&structure);
             // Dedup: an in-process body with byte-equal structure.
-            if let Some(entry) = self.bodies.iter().find(|b| {
-                b.net_hash == net_hash
-                    && b.structure_hash == structure_hash
-                    && b.structure == structure
-            }) {
+            if let Some(entry) = self.body(id, structure_hash, &structure) {
                 let body = Arc::clone(&entry.body);
-                let ir = materialize(net_hash, structure_hash, body, plan, depth);
+                let ir = materialize(id.hash(), structure_hash, body, plan, depth);
                 self.stats.dedup_hits += 1;
                 self.stats.admitted += 1;
                 return Ok(ir);
             }
             // Warm admission: a verified compiled-plan record on disk.
             if let Some(store) = store.as_deref_mut() {
-                if let Some(body) = store.load_compiled_plan(net, &structure) {
+                if let Some(body) = store.load_compiled_plan(net, id, &structure) {
                     let body = Arc::new(body);
                     self.bodies.push(BodyEntry {
-                        net_hash,
+                        id: self.held(id),
                         structure_hash,
                         structure,
                         body: Arc::clone(&body),
                     });
-                    let ir = materialize(net_hash, structure_hash, body, plan, depth);
+                    let ir = materialize(id.hash(), structure_hash, body, plan, depth);
                     self.stats.warm_admissions += 1;
                     self.stats.admitted += 1;
                     return Ok(ir);
@@ -224,28 +215,19 @@ impl Admission {
                 return Err(e);
             }
         };
-        Ok(self.admit_compiled_inner(net_hash, compiled, store))
+        Ok(self.admit_compiled(id, compiled, store))
     }
 
     /// Admit an already-compiled plan (caller vouches it was compiled
-    /// against the hashed network) — the compiled-plan mirror of
+    /// against the network `id` identifies) — the compiled-plan mirror of
     /// [`PlanRegistry::register_compiled`](crate::PlanRegistry::register_compiled).
     pub fn admit_compiled(
         &mut self,
-        net: &Arc<Mlp>,
-        compiled: CompiledPlan,
-        store: Option<&mut ArtifactStore>,
-    ) -> PlanIr {
-        let net_hash = net_content_hash(net);
-        self.admit_compiled_inner(net_hash, compiled, store)
-    }
-
-    fn admit_compiled_inner(
-        &mut self,
-        net_hash: u64,
+        id: &NetId,
         compiled: CompiledPlan,
         mut store: Option<&mut ArtifactStore>,
     ) -> PlanIr {
+        let net_hash = id.hash();
         let (body, values) = compiled.split_values();
         let structure = body.structure_bytes();
         let structure_hash = checksum64(&structure);
@@ -253,12 +235,11 @@ impl Admission {
         let first_faulty_layer = compiled.first_faulty_layer();
         // A structurally equal body may already be cached (the compiled
         // entry point skips the plan-level probe).
-        let body = match self.bodies.iter().find(|b| {
-            b.net_hash == net_hash && b.structure_hash == structure_hash && b.structure == structure
-        }) {
+        let body = match self.body(id, structure_hash, &structure) {
             Some(entry) => {
+                let body = Arc::clone(&entry.body);
                 self.stats.dedup_hits += 1;
-                Arc::clone(&entry.body)
+                body
             }
             None => {
                 let body = Arc::new(body);
@@ -268,7 +249,7 @@ impl Admission {
                     }
                 }
                 self.bodies.push(BodyEntry {
-                    net_hash,
+                    id: self.held(id),
                     structure_hash,
                     structure,
                     body: Arc::clone(&body),
@@ -286,6 +267,20 @@ impl Admission {
             body,
             compiled,
         }
+    }
+
+    /// The cached body for `(id, structure)`: hashes index, bytes prove.
+    fn body(&self, id: &NetId, structure_hash: u64, structure: &[u8]) -> Option<&BodyEntry> {
+        self.bodies
+            .iter()
+            .find(|b| b.structure_hash == structure_hash && b.id == *id && b.structure == structure)
+    }
+
+    /// `id`, sharing the bytes of an equal identity the body cache already
+    /// holds, so the cache keeps one allocation per network.
+    fn held(&self, id: &NetId) -> NetId {
+        let held = self.bodies.iter().map(|b| &b.id).find(|&b| b == id);
+        held.unwrap_or(id).clone()
     }
 }
 
@@ -416,15 +411,6 @@ fn plan_values(plan: &InjectionPlan, depth: usize) -> PlanValues {
     values
 }
 
-/// Bitwise content equality of two networks — the proof step behind
-/// content-hash family grouping (`hashes index, bytes prove`): two plans
-/// whose networks are content-equal may share one nominal pass and one
-/// shard, because every forward pass over either network produces
-/// identical bits.
-pub fn nets_content_equal(a: &Mlp, b: &Mlp) -> bool {
-    std::ptr::eq(a, b) || net_to_bytes(a) == net_to_bytes(b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -476,9 +462,10 @@ mod tests {
     #[test]
     fn equal_up_to_fault_value_shares_one_body_with_distinct_values() {
         let net = net();
+        let id = NetId::of(&net);
         let mut adm = Admission::new();
-        let a = adm.admit(&net, &stuck_plan(0.25), 2.0, None).unwrap();
-        let b = adm.admit(&net, &stuck_plan(-0.75), 2.0, None).unwrap();
+        let a = adm.admit(&net, &id, &stuck_plan(0.25), 2.0, None).unwrap();
+        let b = adm.admit(&net, &id, &stuck_plan(-0.75), 2.0, None).unwrap();
         assert!(a.shares_body_with(&b));
         assert_eq!(a.structure_hash(), b.structure_hash());
         assert_ne!(a.value_hash(), b.value_hash());
@@ -502,13 +489,14 @@ mod tests {
     #[test]
     fn rejection_is_typed_and_counted() {
         let net = net();
+        let id = NetId::of(&net);
         let mut adm = Admission::new();
         assert!(matches!(
-            adm.admit(&net, &InjectionPlan::crash([(7, 0)]), 1.0, None),
+            adm.admit(&net, &id, &InjectionPlan::crash([(7, 0)]), 1.0, None),
             Err(PlanError::BadNeuron { layer: 7, .. })
         ));
         assert!(matches!(
-            adm.admit(&net, &InjectionPlan::crash([(0, 99)]), 1.0, None),
+            adm.admit(&net, &id, &InjectionPlan::crash([(0, 99)]), 1.0, None),
             Err(PlanError::BadNeuron { neuron: 99, .. })
         ));
         assert_eq!(adm.stats().rejected, 2);
@@ -519,26 +507,11 @@ mod tests {
     #[test]
     fn different_capacity_is_a_different_structure() {
         let net = net();
+        let id = NetId::of(&net);
         let mut adm = Admission::new();
-        let a = adm.admit(&net, &stuck_plan(0.25), 2.0, None).unwrap();
-        let b = adm.admit(&net, &stuck_plan(0.25), 3.0, None).unwrap();
+        let a = adm.admit(&net, &id, &stuck_plan(0.25), 2.0, None).unwrap();
+        let b = adm.admit(&net, &id, &stuck_plan(0.25), 3.0, None).unwrap();
         assert!(!a.shares_body_with(&b));
         assert_eq!(adm.stats().bodies_compiled, 2);
-    }
-
-    #[test]
-    fn nets_content_equal_matches_clones_not_variants() {
-        let a = net();
-        let b = net(); // same seed → same weights, different allocation
-        assert!(!Arc::ptr_eq(&a, &b));
-        assert!(nets_content_equal(&a, &b));
-        let c = Arc::new(
-            MlpBuilder::new(3)
-                .dense(4, Activation::Tanh { k: 1.0 })
-                .dense(3, Activation::Sigmoid { k: 1.0 })
-                .init(Init::Xavier)
-                .build(&mut neurofail_data::rng::rng(12)),
-        );
-        assert!(!nets_content_equal(&a, &c));
     }
 }

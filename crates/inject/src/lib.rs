@@ -28,14 +28,17 @@
 //!   of the serving engine (`neurofail-serve`).
 //! * [`cache`] / [`streaming`] — the **input-incremental engine**: a
 //!   content-addressed LRU cache of nominal checkpoints
-//!   ([`cache::CheckpointCache`]) so repeated evaluations over the same
-//!   input set skip even the one nominal pass, and a
+//!   ([`cache::CheckpointCache`], keyed by the network's
+//!   [`NetId`](neurofail_nn::NetId) and the input set's hash) so repeated
+//!   evaluations over the same input set skip even the one nominal pass,
+//!   and a
 //!   [`streaming::StreamingEvaluator`] that certifies a fixed plan family
 //!   against inputs arriving in chunks — new work proportional to
 //!   (new inputs × suffix layers), never (all inputs × all layers).
 //! * [`ir`] — the **admission pipeline** (validate → normalize → compile
 //!   → cache: typed rejection, dedup of plans equal up to fault value onto
-//!   one compiled body, warm-started admission from the [`store`]).
+//!   one compiled body, warm-started admission from the [`store`]; both
+//!   take the caller's `NetId` and never hash a network themselves).
 //! * [`planner`] — engine names and counters kept for the benchmark
 //!   harness; no call path consults them.
 
@@ -62,7 +65,7 @@ pub use campaign::{
     TrialResult, WorstCase,
 };
 pub use executor::{CompiledPlan, PlanError};
-pub use ir::{nets_content_equal, Admission, AdmissionStats, PlanIr};
+pub use ir::{Admission, AdmissionStats, PlanIr};
 pub use multi::{output_error_many, MultiPlanEvaluator};
 /// Compute-backend selection, re-exported so injection campaigns can pin
 /// or scope the kernel backend without depending on the tensor crate

@@ -14,14 +14,16 @@
 //! registered plans (the common case: one net, a family of fault
 //! hypotheses) without cloning its weights per plan. Registration also
 //! assigns each plan a **family** — the group of plans over content-equal
-//! networks (`Arc` identity *or* bitwise weight equality, proven at
-//! registration, never re-checked on the hot path) — and the batch
+//! networks (an `Arc` already registered, or an equal [`NetId`], proven
+//! at registration, never re-checked on the hot path) — and the batch
 //! evaluators run whole families through one shared nominal pass, with
-//! identical plans sharing one evaluation.
+//! identical plans sharing one evaluation. Each family computes its
+//! network's `NetId` once; its plans share it
+//! ([`RegisteredPlan::net_id`]).
 
 use std::sync::Arc;
 
-use neurofail_nn::{net_to_bytes, BatchWorkspace, Mlp};
+use neurofail_nn::{BatchWorkspace, Mlp, NetId};
 use neurofail_tensor::Matrix;
 
 use crate::executor::{CompiledPlan, PlanError};
@@ -45,6 +47,7 @@ impl std::fmt::Display for PlanId {
 #[derive(Debug, Clone)]
 pub struct RegisteredPlan {
     net: Arc<Mlp>,
+    net_id: NetId,
     ir: PlanIr,
     family: usize,
 }
@@ -53,6 +56,12 @@ impl RegisteredPlan {
     /// The network the plan was admitted against.
     pub fn net(&self) -> &Arc<Mlp> {
         &self.net
+    }
+
+    /// The identity of [`net`](Self::net): its family's [`NetId`], bytes
+    /// shared with every plan of the family.
+    pub fn net_id(&self) -> &NetId {
+        &self.net_id
     }
 
     /// The admitted intermediate representation: content identities,
@@ -129,21 +138,13 @@ impl RegisteredPlan {
     }
 }
 
-/// One content-equal network family: the representative `Arc` every
-/// family-grouped evaluation runs against, plus the canonical bytes that
-/// prove membership at registration time.
-#[derive(Debug, Clone)]
-struct Family {
-    net_hash: u64,
-    rep: Arc<Mlp>,
-    rep_bytes: Vec<u8>,
-}
-
 /// An append-only collection of admitted plans addressed by [`PlanId`].
 #[derive(Debug, Clone, Default)]
 pub struct PlanRegistry {
     entries: Vec<RegisteredPlan>,
-    families: Vec<Family>,
+    /// Per network family, its first plan: the `Arc` family-grouped
+    /// evaluations run against, and the `NetId` its plans share.
+    families: Vec<usize>,
     admission: Admission,
     planner: Arc<Planner>,
 }
@@ -165,8 +166,7 @@ impl PlanRegistry {
         plan: &InjectionPlan,
         capacity: f64,
     ) -> Result<PlanId, PlanError> {
-        let ir = self.admission.admit(&net, plan, capacity, None)?;
-        Ok(self.push(net, ir))
+        self.register_via(net, |adm, net, id| adm.admit(net, id, plan, capacity, None))
     }
 
     /// [`register`](Self::register) with an [`ArtifactStore`] consulted
@@ -182,48 +182,54 @@ impl PlanRegistry {
         capacity: f64,
         store: &mut ArtifactStore,
     ) -> Result<PlanId, PlanError> {
-        let ir = self.admission.admit(&net, plan, capacity, Some(store))?;
-        Ok(self.push(net, ir))
+        self.register_via(net, |adm, net, id| {
+            adm.admit(net, id, plan, capacity, Some(store))
+        })
     }
 
     /// Register an already-compiled plan (caller vouches it was compiled
     /// against `net`). Runs the admission pipeline's normalize/dedup half
     /// so even pre-compiled plans share bodies.
     pub fn register_compiled(&mut self, net: Arc<Mlp>, compiled: CompiledPlan) -> PlanId {
-        let ir = self.admission.admit_compiled(&net, compiled, None);
-        self.push(net, ir)
+        let registered =
+            self.register_via(net, |adm, _, id| Ok(adm.admit_compiled(id, compiled, None)));
+        registered.expect("compiled admission is infallible")
     }
 
-    fn push(&mut self, net: Arc<Mlp>, ir: PlanIr) -> PlanId {
-        let family = self.family_for(&net, ir.net_hash());
-        let id = PlanId(self.entries.len());
-        self.entries.push(RegisteredPlan { net, ir, family });
-        id
-    }
-
-    /// Find (or create) the family of content-equal networks `net`
-    /// belongs to — `Arc` identity first, then bitwise content proof
-    /// against the family representative. Registration-time only.
-    fn family_for(&mut self, net: &Arc<Mlp>, net_hash: u64) -> usize {
-        let mut encoded: Option<Vec<u8>> = None;
-        for (i, f) in self.families.iter().enumerate() {
-            if f.net_hash != net_hash {
-                continue;
-            }
-            if Arc::ptr_eq(&f.rep, net) {
-                return i;
-            }
-            let bytes = encoded.get_or_insert_with(|| net_to_bytes(net));
-            if &f.rep_bytes == bytes {
-                return i;
-            }
+    /// Admit through `admit` with `net`'s identity, then append the plan
+    /// (creating its family only once admission succeeded).
+    fn register_via(
+        &mut self,
+        net: Arc<Mlp>,
+        admit: impl FnOnce(&mut Admission, &Arc<Mlp>, &NetId) -> Result<PlanIr, PlanError>,
+    ) -> Result<PlanId, PlanError> {
+        let (family, net_id) = self.family_of(&net);
+        let ir = admit(&mut self.admission, &net, &net_id)?;
+        if family == self.families.len() {
+            self.families.push(self.entries.len());
         }
-        self.families.push(Family {
-            net_hash,
-            rep: Arc::clone(net),
-            rep_bytes: encoded.unwrap_or_else(|| net_to_bytes(net)),
+        self.entries.push(RegisteredPlan {
+            net,
+            net_id,
+            ir,
+            family,
         });
-        self.families.len() - 1
+        Ok(PlanId(self.entries.len() - 1))
+    }
+
+    /// `net`'s family (a new one is `families.len()`) and identity, sharing
+    /// the family's bytes. A registered `Arc` is its plan's network (the
+    /// entry keeps it alive and unmodifiable); any other is hashed once.
+    fn family_of(&self, net: &Arc<Mlp>) -> (usize, NetId) {
+        if let Some(e) = self.entries.iter().find(|e| Arc::ptr_eq(&e.net, net)) {
+            return (e.family, e.net_id.clone());
+        }
+        let id = NetId::of(net);
+        let first_plans = self.families.iter().map(|&i| &self.entries[i]);
+        match first_plans.enumerate().find(|(_, e)| e.net_id == id) {
+            Some((f, e)) => (f, e.net_id.clone()),
+            None => (self.families.len(), id),
+        }
     }
 
     /// Look up a registered plan.
@@ -260,13 +266,6 @@ impl PlanRegistry {
     /// Iterate over `(id, entry)` pairs in registration order.
     pub fn iter(&self) -> impl Iterator<Item = (PlanId, &RegisteredPlan)> {
         self.entries.iter().enumerate().map(|(i, e)| (PlanId(i), e))
-    }
-
-    /// Consume the registry, yielding entries in registration order — the
-    /// handoff a sharded engine uses to move each plan onto its worker
-    /// (each entry carries its admission IR and family index).
-    pub fn into_entries(self) -> Vec<RegisteredPlan> {
-        self.entries
     }
 
     /// Group `ids` positions by network family, preserving first-seen
@@ -334,7 +333,7 @@ impl PlanRegistry {
     ) -> Vec<Vec<f64>> {
         let mut results: Vec<Vec<f64>> = vec![Vec::new(); ids.len()];
         for (family, positions) in self.group_by_family(ids) {
-            let net = &self.families[family].rep;
+            let net = &self.entries[self.families[family]].net;
             // Identical-plan dedup: evaluate each distinct plan key once,
             // alias the rest (bitwise-equal by the determinism contracts).
             let mut unique: Vec<usize> = Vec::new();

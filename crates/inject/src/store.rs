@@ -5,7 +5,7 @@
 //! nominal pass *within* a process; this module removes it *across*
 //! processes and restarts. An [`ArtifactStore`] is a directory of
 //! fixed-layout binary records keyed by content — for nominal
-//! checkpoints, by `(`[`net_content_hash`]`, `[`input_set_hash`]`)` — so
+//! checkpoints, by `(`[`NetId::hash`]`, `[`input_set_hash`]`)` — so
 //! any consumer that evaluates the same network over the same input set
 //! (a restarted search, a fresh serve worker, a second machine sharing a
 //! filesystem) starts warm: the first query is served without a nominal
@@ -21,7 +21,7 @@
 //!      0     8  magic "NFART001"
 //!      8     8  meta word: schema version (byte 0), record kind (byte 1),
 //!               6 reserved bytes for future record kinds' use
-//!     16     8  net content hash   (key, little-endian)
+//!     16     8  net content hash   (key: NetId::hash, little-endian)
 //!     24     8  aux content hash   (input-set hash / name hash)
 //!     32     8  payload length in bytes
 //!     40     8  payload checksum   (io::checksum64: FNV-1a/SplitMix64)
@@ -34,7 +34,7 @@
 //! process warm-starts admission (see [`crate::ir`]). The header carries
 //! kind + reserved bytes precisely so new artifact kinds need no format
 //! bump. A checkpoint payload embeds the **full serialized network**
-//! ([`net_to_bytes`]) and the full input set alongside the per-layer
+//! ([`NetId::bytes`]) and the full input set alongside the per-layer
 //! taps, because the store inherits the cache's core rule: *hashes are
 //! the index, never the proof*. A hit is admitted only after the header
 //! keys, payload length, content checksum, stored network bytes, and
@@ -42,7 +42,9 @@
 //! 64-bit hash collision degrades to a **miss** (counted in
 //! [`StoreStats::verify_rejects`]), never a wrong value. That is
 //! ARCHITECTURE contract 13: a damaged store is bitwise-indistinguishable
-//! from a cold store.
+//! from a cold store. (The checksum covers only the payload: a record
+//! re-keyed to another network passes it and fails the network bytes.)
+//! Records keyed by the pre-[`NetId`] network hash miss and age out by LRU.
 //!
 //! ## Durability discipline
 //!
@@ -56,6 +58,10 @@
 //!   lock: published records are immutable, and on Unix an unlinked
 //!   file's pages stay valid under a live mapping, so eviction by another
 //!   process cannot tear a read.
+//! * **Assumption: no record is ever truncated in place.** The store's
+//!   own writers only create, rename and unlink. A record truncated from
+//!   outside while a reader has it mapped faults that reader (`SIGBUS`)
+//!   instead of failing verification.
 //! * **Cross-process exclusivity**: all mutations (publish, evict,
 //!   index rewrite, temp sweep) serialize on an advisory `LOCK` file via
 //!   [`std::fs::File::lock`]. The OS releases the lock when the holder
@@ -79,11 +85,11 @@ use std::fs::{self, File};
 use std::io;
 use std::path::{Path, PathBuf};
 
-use neurofail_nn::{net_from_bytes, net_to_bytes, BatchWorkspace, Mlp};
+use neurofail_nn::{net_from_bytes, net_to_bytes, BatchWorkspace, Mlp, NetId};
 use neurofail_tensor::io::{checksum64, ByteReader, ByteWriter, DecodeError, MappedFile};
 use neurofail_tensor::Matrix;
 
-use crate::cache::{input_set_hash, net_content_hash};
+use crate::cache::input_set_hash;
 use crate::executor::CompiledPlan;
 
 /// Store format version carried in every record and index header.
@@ -159,10 +165,6 @@ pub struct ArtifactStore {
     inserts: u64,
     evictions: u64,
     nominal_rows_saved: u64,
-    /// Memoised canonical encoding of the most recent network, keyed by
-    /// its content hash — searches and serve flushes hammer one network,
-    /// so verification re-encodes it once, not per lookup.
-    encoded_net: Option<(u64, Vec<u8>)>,
 }
 
 impl ArtifactStore {
@@ -188,7 +190,6 @@ impl ArtifactStore {
             inserts: 0,
             evictions: 0,
             nominal_rows_saved: 0,
-            encoded_net: None,
         };
         let _lock = store.lock_exclusive()?;
         let indexed = store.read_index().unwrap_or_default();
@@ -236,53 +237,39 @@ impl ArtifactStore {
     /// `forward_batch` would produce, by construction of the publish
     /// path's bitwise round trip. On any miss — no record, or a record
     /// that fails verification — returns `None` with `ws` contents
-    /// unspecified, and the caller recomputes.
+    /// unspecified, and the caller recomputes. Builds a [`NetId`]; holders
+    /// of one call [`load_checkpoint_with_id`](Self::load_checkpoint_with_id).
     pub fn load_checkpoint(
         &mut self,
         net: &Mlp,
         xs: &Matrix,
         ws: &mut BatchWorkspace,
     ) -> Option<Vec<f64>> {
-        let net_hash = net_content_hash(net);
-        let aux_hash = input_set_hash(xs);
-        let path = self.record_path(KIND_CHECKPOINT, net_hash, aux_hash);
-        let map = match MappedFile::open(&path) {
-            Ok(m) => m,
-            Err(_) => {
-                // No record (or a concurrent eviction won the race): a
-                // plain miss, not a verification failure.
-                self.misses += 1;
-                self.forget(KIND_CHECKPOINT, net_hash, aux_hash);
-                return None;
-            }
-        };
-        self.ensure_encoded(net, net_hash);
-        let decoded = {
-            let expected_net = &self.encoded_net.as_ref().expect("just encoded").1;
-            decode_checkpoint(map.bytes(), net, expected_net, xs, ws, net_hash, aux_hash)
-        };
-        match decoded {
-            Ok(nominal_y) => {
-                self.hits += 1;
-                self.nominal_rows_saved += (net.depth() * xs.rows()) as u64;
-                self.touch(KIND_CHECKPOINT, net_hash, aux_hash, map.len() as u64);
-                Some(nominal_y)
-            }
-            Err(_) => {
-                // Contract 13: a damaged record degrades to a miss. Remove
-                // it so the storm is bounded to one reject per damage.
-                self.verify_rejects += 1;
-                self.quarantine(&path, KIND_CHECKPOINT, net_hash, aux_hash);
-                None
-            }
-        }
+        self.load_checkpoint_with_id(net, &NetId::of(net), xs, ws)
+    }
+
+    /// [`load_checkpoint`](Self::load_checkpoint) under the caller's
+    /// `id == NetId::of(net)`, hashing nothing.
+    pub fn load_checkpoint_with_id(
+        &mut self,
+        net: &Mlp,
+        id: &NetId,
+        xs: &Matrix,
+        ws: &mut BatchWorkspace,
+    ) -> Option<Vec<f64>> {
+        let nominal_y = self.load_record(KIND_CHECKPOINT, id.hash(), input_set_hash(xs), |r| {
+            decode_checkpoint(r, net, id, xs, ws)
+        })?;
+        self.nominal_rows_saved += (net.depth() * xs.rows()) as u64;
+        Some(nominal_y)
     }
 
     /// Publish the nominal checkpoint for `(net, xs)`: `ws` and
     /// `nominal_y` as produced by `net.forward_batch(xs, ws)`. Returns
     /// `Ok(false)` if an identically-keyed record already exists (content
     /// addressing makes re-publishing a no-op), `Ok(true)` once the
-    /// record is durably renamed into place.
+    /// record is durably renamed into place. Builds a [`NetId`]; holders of
+    /// one call [`publish_checkpoint_with_id`](Self::publish_checkpoint_with_id).
     ///
     /// # Panics
     /// If `ws`/`nominal_y` are not shaped as a checkpoint of `(net, xs)`
@@ -291,6 +278,19 @@ impl ArtifactStore {
     pub fn publish_checkpoint(
         &mut self,
         net: &Mlp,
+        xs: &Matrix,
+        ws: &BatchWorkspace,
+        nominal_y: &[f64],
+    ) -> io::Result<bool> {
+        self.publish_checkpoint_with_id(net, &NetId::of(net), xs, ws, nominal_y)
+    }
+
+    /// [`publish_checkpoint`](Self::publish_checkpoint) (same panics) under
+    /// the caller's `id == NetId::of(net)`, hashing nothing.
+    pub fn publish_checkpoint_with_id(
+        &mut self,
+        net: &Mlp,
+        id: &NetId,
         xs: &Matrix,
         ws: &BatchWorkspace,
         nominal_y: &[f64],
@@ -304,11 +304,9 @@ impl ArtifactStore {
                 "workspace layer {l} shape mismatch"
             );
         }
-        let net_hash = net_content_hash(net);
         let aux_hash = input_set_hash(xs);
-        self.ensure_encoded(net, net_hash);
         let mut w = ByteWriter::new();
-        w.put_bytes(&self.encoded_net.as_ref().expect("just encoded").1);
+        w.put_bytes(id.bytes());
         w.put_u64(xs.rows() as u64);
         w.put_u64(xs.cols() as u64);
         for &v in xs.data() {
@@ -325,7 +323,7 @@ impl ArtifactStore {
             }
         }
         w.put_f64_slice(nominal_y);
-        self.publish_record(KIND_CHECKPOINT, net_hash, aux_hash, &w.into_bytes())
+        self.publish_record(KIND_CHECKPOINT, id.hash(), aux_hash, &w.into_bytes())
     }
 
     /// Store a trained network under `name` (kind [`KIND_TRAINED_NET`];
@@ -343,40 +341,12 @@ impl ArtifactStore {
     /// stored name, and a full validating decode. Damage degrades to
     /// `None` exactly like checkpoint records.
     pub fn load_net(&mut self, name: &str) -> Option<Mlp> {
-        let aux_hash = checksum64(name.as_bytes());
-        let path = self.record_path(KIND_TRAINED_NET, 0, aux_hash);
-        let map = match MappedFile::open(&path) {
-            Ok(m) => m,
-            Err(_) => {
-                self.misses += 1;
-                self.forget(KIND_TRAINED_NET, 0, aux_hash);
-                return None;
-            }
-        };
-        let decoded = (|| -> Result<Mlp, DecodeError> {
-            let payload = validate_record(map.bytes(), KIND_TRAINED_NET, 0, aux_hash)?;
-            let mut r = ByteReader::new(payload);
+        self.load_record(KIND_TRAINED_NET, 0, checksum64(name.as_bytes()), |r| {
             if r.get_str()? != name {
                 return Err(DecodeError("stored name differs"));
             }
-            let net = net_from_bytes(r.get_bytes()?)?;
-            if !r.is_exhausted() {
-                return Err(DecodeError("trailing bytes after record"));
-            }
-            Ok(net)
-        })();
-        match decoded {
-            Ok(net) => {
-                self.hits += 1;
-                self.touch(KIND_TRAINED_NET, 0, aux_hash, map.len() as u64);
-                Some(net)
-            }
-            Err(_) => {
-                self.verify_rejects += 1;
-                self.quarantine(&path, KIND_TRAINED_NET, 0, aux_hash);
-                None
-            }
-        }
+            net_from_bytes(r.get_bytes()?)
+        })
     }
 
     /// Publish a compiled plan body under `(net_hash, structure bytes)`
@@ -402,55 +372,28 @@ impl ArtifactStore {
     }
 
     /// Load the compiled plan body stored under `(net, structure bytes)`,
-    /// verifying checksum, stored structure bytes, a full validating
-    /// decode, and finally a bitwise re-validation of every site and
-    /// resolved crash weight against the live `net`
+    /// `id == NetId::of(net)`, verifying checksum, stored structure bytes,
+    /// a full validating decode, and finally a bitwise re-validation of
+    /// every site and resolved crash weight against the live `net`
     /// ([`CompiledPlan::verify_against`]). Damage — or a record compiled
     /// against a hash-colliding different network — degrades to `None`
     /// exactly like checkpoint records (contract 13).
     pub(crate) fn load_compiled_plan(
         &mut self,
         net: &Mlp,
+        id: &NetId,
         structure: &[u8],
     ) -> Option<CompiledPlan> {
-        let net_hash = net_content_hash(net);
-        let aux_hash = checksum64(structure);
-        let path = self.record_path(KIND_COMPILED_PLAN, net_hash, aux_hash);
-        let map = match MappedFile::open(&path) {
-            Ok(m) => m,
-            Err(_) => {
-                self.misses += 1;
-                self.forget(KIND_COMPILED_PLAN, net_hash, aux_hash);
-                return None;
-            }
-        };
-        let decoded = (|| -> Result<CompiledPlan, DecodeError> {
-            let payload = validate_record(map.bytes(), KIND_COMPILED_PLAN, net_hash, aux_hash)?;
-            let mut r = ByteReader::new(payload);
+        self.load_record(KIND_COMPILED_PLAN, id.hash(), checksum64(structure), |r| {
             if r.get_bytes()? != structure {
                 return Err(DecodeError("stored structure differs"));
             }
-            let body = CompiledPlan::decode_body(&mut r)?;
-            if !r.is_exhausted() {
-                return Err(DecodeError("trailing bytes after record"));
-            }
+            let body = CompiledPlan::decode_body(r)?;
             if !body.verify_against(net) {
                 return Err(DecodeError("stored body fails net verification"));
             }
             Ok(body)
-        })();
-        match decoded {
-            Ok(body) => {
-                self.hits += 1;
-                self.touch(KIND_COMPILED_PLAN, net_hash, aux_hash, map.len() as u64);
-                Some(body)
-            }
-            Err(_) => {
-                self.verify_rejects += 1;
-                self.quarantine(&path, KIND_COMPILED_PLAN, net_hash, aux_hash);
-                None
-            }
-        }
+        })
     }
 
     /// Persist the index (sizes + recency) now. Called automatically on
@@ -469,13 +412,42 @@ impl ArtifactStore {
             .join(format!("{kind:02x}-{net_hash:016x}-{aux_hash:016x}.rec"))
     }
 
-    fn ensure_encoded(&mut self, net: &Mlp, net_hash: u64) {
-        if self
-            .encoded_net
-            .as_ref()
-            .is_none_or(|(h, _)| *h != net_hash)
-        {
-            self.encoded_net = Some((net_hash, net_to_bytes(net)));
+    /// Open, validate and decode the record under a key. No file is a
+    /// plain miss (a concurrent eviction may have won the race); a record
+    /// that fails validation or `decode`, or has bytes left over, is a
+    /// verify reject, quarantined so the storm is one reject per damage.
+    fn load_record<T>(
+        &mut self,
+        kind: u8,
+        net_hash: u64,
+        aux_hash: u64,
+        decode: impl FnOnce(&mut ByteReader<'_>) -> Result<T, DecodeError>,
+    ) -> Option<T> {
+        let path = self.record_path(kind, net_hash, aux_hash);
+        let Ok(map) = MappedFile::open(&path) else {
+            self.misses += 1;
+            self.forget(kind, net_hash, aux_hash);
+            return None;
+        };
+        let decoded = validate_record(map.bytes(), kind, net_hash, aux_hash).and_then(|payload| {
+            let mut r = ByteReader::new(payload);
+            let value = decode(&mut r)?;
+            if !r.is_exhausted() {
+                return Err(DecodeError("trailing bytes after record"));
+            }
+            Ok(value)
+        });
+        match decoded {
+            Ok(value) => {
+                self.hits += 1;
+                self.touch(kind, net_hash, aux_hash, map.len() as u64);
+                Some(value)
+            }
+            Err(_) => {
+                self.verify_rejects += 1;
+                self.quarantine(&path, kind, net_hash, aux_hash);
+                None
+            }
         }
     }
 
@@ -759,22 +731,18 @@ fn validate_record(
     Ok(payload)
 }
 
-/// Verify and rehydrate a checkpoint record: header + checksum, then the
-/// stored network bytes against the caller's canonical encoding, the
-/// stored input set bitwise against the caller's, and every shape against
-/// the network — only then are the taps copied into `ws`.
+/// Verify and rehydrate a validated checkpoint payload: the stored
+/// network bytes against the caller's `id`, the stored input set bitwise
+/// against the caller's, and every shape against the network — only then
+/// are the taps copied into `ws`.
 fn decode_checkpoint(
-    bytes: &[u8],
+    r: &mut ByteReader<'_>,
     net: &Mlp,
-    expected_net: &[u8],
+    id: &NetId,
     xs: &Matrix,
     ws: &mut BatchWorkspace,
-    net_hash: u64,
-    aux_hash: u64,
 ) -> Result<Vec<f64>, DecodeError> {
-    let payload = validate_record(bytes, KIND_CHECKPOINT, net_hash, aux_hash)?;
-    let mut r = ByteReader::new(payload);
-    if r.get_bytes()? != expected_net {
+    if r.get_bytes()? != id.bytes() {
         // A 64-bit net-hash collision (or targeted corruption that kept
         // the checksum valid): the record is for a *different* network.
         return Err(DecodeError("stored network differs"));
@@ -807,9 +775,6 @@ fn decode_checkpoint(
     let nominal_y = r.get_f64_vec()?;
     if nominal_y.len() != rows {
         return Err(DecodeError("stored output count differs"));
-    }
-    if !r.is_exhausted() {
-        return Err(DecodeError("trailing bytes after record"));
     }
     Ok(nominal_y)
 }
@@ -899,7 +864,7 @@ mod tests {
         // Flip one payload bit: checksum catches it, record quarantined.
         let path = store.record_path(
             KIND_CHECKPOINT,
-            net_content_hash(&net_a),
+            NetId::of(&net_a).hash(),
             input_set_hash(&xs),
         );
         let mut bytes = fs::read(&path).unwrap();

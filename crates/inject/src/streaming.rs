@@ -162,10 +162,12 @@ impl StreamingEvaluator {
         self.row_budget
     }
 
-    /// A streaming evaluator over registered plans. All `ids` must share
-    /// one network (`Arc` identity) — the
-    /// [`PlanRegistry::eval_many`] grouping requirement, made a
-    /// construction-time check here because the family is long-lived.
+    /// A streaming evaluator over registered plans. All `ids` must belong
+    /// to one network family (content-equal networks, proven at
+    /// registration — [`RegisteredPlan::family`](crate::RegisteredPlan::family)),
+    /// the grouping [`PlanRegistry::eval_many`] and serve coalescing use,
+    /// checked here at construction because the family is long-lived.
+    /// The stream runs against the first id's network.
     ///
     /// # Panics
     /// If any id is unregistered or the ids span different networks.
@@ -185,7 +187,7 @@ impl StreamingEvaluator {
                     .get(id)
                     .unwrap_or_else(|| panic!("StreamingEvaluator: no registered {id}"));
                 assert!(
-                    Arc::ptr_eq(entry.net(), &net),
+                    entry.family() == first.family(),
                     "StreamingEvaluator: {id} is registered against a different network"
                 );
                 entry.compiled().clone()
@@ -322,13 +324,17 @@ mod tests {
     use neurofail_tensor::init::Init;
 
     fn net() -> Arc<Mlp> {
+        net_seeded(17)
+    }
+
+    fn net_seeded(seed: u64) -> Arc<Mlp> {
         Arc::new(
             MlpBuilder::new(3)
                 .dense(6, Activation::Sigmoid { k: 1.1 })
                 .dense(5, Activation::Tanh { k: 0.9 })
                 .dense(4, Activation::Sigmoid { k: 1.0 })
                 .init(Init::Xavier)
-                .build(&mut rng(17)),
+                .build(&mut rng(seed)),
         )
     }
 
@@ -406,9 +412,13 @@ mod tests {
         let b = reg
             .register(Arc::clone(&net), &InjectionPlan::none(), 1.0)
             .unwrap();
-        let stream = StreamingEvaluator::from_registry(&reg, &[b, a]);
-        assert_eq!(stream.plan_ids(), &[b, a]);
-        assert_eq!(stream.plans().len(), 2);
+        // Another `Arc` over bitwise-equal weights is the same family.
+        let c = reg
+            .register(net_seeded(17), &InjectionPlan::crash([(2, 3)]), 1.0)
+            .unwrap();
+        let stream = StreamingEvaluator::from_registry(&reg, &[b, a, c]);
+        assert_eq!(stream.plan_ids(), &[b, a, c]);
+        assert_eq!(stream.plans().len(), 3);
     }
 
     #[test]
@@ -449,7 +459,7 @@ mod tests {
     #[should_panic(expected = "different network")]
     fn from_registry_rejects_mixed_networks() {
         let net_a = net();
-        let net_b = net();
+        let net_b = net_seeded(18);
         let mut reg = PlanRegistry::new();
         let a = reg
             .register(Arc::clone(&net_a), &InjectionPlan::none(), 1.0)

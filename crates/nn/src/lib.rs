@@ -27,6 +27,9 @@
 //! * [`train`] — backpropagation + SGD with momentum, weight decay and the
 //!   Fep-aware penalty (the paper's closing research direction).
 //! * [`metrics`] — sup-norm ε' estimation on deterministic point sets.
+//! * [`serialize`] — the canonical byte encoding of a network and
+//!   [`NetId`], the workspace's one network identity: those bytes plus
+//!   their checksum, computed once per network by whoever owns it.
 //!
 //! Conventions: code layer indices are 0-based (`0..L`); the paper's layers
 //! are 1-based (`1..=L`). Biases are weights from a constant neuron (paper
@@ -47,5 +50,5 @@ pub mod train;
 pub use activation::Activation;
 pub use builder::MlpBuilder;
 pub use network::{BatchTap, BatchWorkspace, Layer, Mlp, NoBatchTap, NoTap, Tap, Workspace};
-pub use serialize::{net_from_bytes, net_to_bytes, NET_FORMAT_VERSION};
+pub use serialize::{net_from_bytes, net_to_bytes, NetId, NET_FORMAT_VERSION};
 pub use topology::Topology;

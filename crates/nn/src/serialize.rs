@@ -1,25 +1,26 @@
-//! Bitwise binary serialization of networks for the artifact store.
+//! Bitwise binary serialization of networks, and network identity.
 //!
-//! The persistent store (`neurofail_inject::store`) keys records by a
-//! content hash of the network, but hashes are an index, never a proof:
-//! every hit is verified by comparing the *full serialized network* byte
-//! for byte. That demands a canonical encoding — one where two networks
-//! produce identical bytes exactly when they are bitwise-identical
-//! (same topology, same activation constants, same raw f64 weight bits).
-//! [`net_to_bytes`] is that encoding and [`net_from_bytes`] its fully
-//! validating inverse: decoding arbitrary (possibly corrupted) bytes
-//! returns [`DecodeError`] instead of panicking, so a damaged record can
-//! degrade to a store miss.
+//! [`net_to_bytes`] is the canonical encoding: two networks produce
+//! identical bytes exactly when they are bitwise-identical (same
+//! topology, same activation constants, same raw f64 weight bits).
+//! [`net_from_bytes`] is its fully validating inverse: decoding arbitrary
+//! (possibly corrupted) bytes returns [`DecodeError`] instead of
+//! panicking, so a damaged record can degrade to a store miss.
+//!
+//! [`NetId`] — those bytes plus their [`checksum64`] — is the workspace's
+//! one definition of "the same network": hashes index, bytes prove.
 //!
 //! The format is little-endian 64-bit words throughout (see
 //! [`neurofail_tensor::io`]): a version word, the layer count, then per
-//! layer a kind tag (dense/conv), the activation (tag + raw gain bits —
-//! the same `(tag, bits)` scheme the in-memory cache's content hash
-//! uses), the shape, and the raw weight/bias bits; finally the output
-//! node's weights and bias. Activation gains serialize as bit patterns,
-//! not values, so `k = 0.1` round-trips exactly.
+//! layer a kind tag (dense/conv), the activation (tag + raw gain bits),
+//! the shape, and the raw weight/bias bits; finally the output node's
+//! weights and bias. Activation gains serialize as bit patterns, not
+//! values, so `k = 0.1` round-trips exactly.
 
-use neurofail_tensor::io::{ByteReader, ByteWriter, DecodeError};
+use std::fmt;
+use std::sync::Arc;
+
+use neurofail_tensor::io::{checksum64, ByteReader, ByteWriter, DecodeError};
 use neurofail_tensor::Matrix;
 
 use crate::activation::Activation;
@@ -34,9 +35,6 @@ pub const NET_FORMAT_VERSION: u64 = 1;
 const KIND_DENSE: u64 = 0;
 const KIND_CONV1D: u64 = 1;
 
-// Activation tags — deliberately the same numbering as the in-memory
-// cache's `activation_key` so the two fingerprints can never disagree
-// about which variant is which.
 const ACT_SIGMOID: u64 = 1;
 const ACT_TANH: u64 = 2;
 const ACT_RELU: u64 = 3;
@@ -199,6 +197,52 @@ pub fn net_from_bytes(bytes: &[u8]) -> Result<Mlp, DecodeError> {
     Ok(Mlp::new(layers, output_weights, output_bias))
 }
 
+/// A network's identity: its canonical bytes ([`net_to_bytes`]) and their
+/// [`checksum64`]. Equal exactly when the networks are bitwise identical
+/// (hash, then bytes — unlike `Mlp`'s by-value `PartialEq`, `-0.0 != 0.0`).
+/// [`NetId::of`] costs about two walks over the parameters, so each owner
+/// computes it once and passes it down; clones share the bytes.
+#[derive(Clone)]
+pub struct NetId {
+    hash: u64,
+    bytes: Arc<[u8]>,
+}
+
+impl NetId {
+    /// Encode `net` canonically and hash the bytes.
+    pub fn of(net: &Mlp) -> NetId {
+        let bytes: Arc<[u8]> = net_to_bytes(net).into();
+        NetId {
+            hash: checksum64(&bytes),
+            bytes,
+        }
+    }
+
+    /// The content hash: [`checksum64`] of the canonical bytes. An index,
+    /// never a proof.
+    pub fn hash(&self) -> u64 {
+        self.hash
+    }
+
+    /// The canonical bytes ([`net_to_bytes`]).
+    pub fn bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+}
+
+impl PartialEq for NetId {
+    fn eq(&self, other: &NetId) -> bool {
+        self.hash == other.hash
+            && (Arc::ptr_eq(&self.bytes, &other.bytes) || self.bytes == other.bytes)
+    }
+}
+
+impl fmt::Debug for NetId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "NetId({:016x}, {} bytes)", self.hash, self.bytes.len())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,6 +272,7 @@ mod tests {
             // is that re-encoding yields the identical byte image.
             assert_eq!(net_to_bytes(&back), bytes);
             assert_eq!(back, net);
+            assert_eq!(NetId::of(&back), NetId::of(&net));
         }
     }
 
@@ -244,6 +289,26 @@ mod tests {
             Layer::Conv1d(_) => unreachable!(),
         }
         assert_ne!(net_to_bytes(&tweaked), a);
+        assert_ne!(NetId::of(&tweaked), NetId::of(net));
+    }
+
+    #[test]
+    fn net_id_is_bitwise_not_by_value() {
+        let net = &sample_nets()[0];
+        let id = NetId::of(net);
+        assert_eq!(id.hash(), checksum64(id.bytes()));
+        assert_eq!(id.clone(), id);
+        // An activation gain is identity.
+        let mut regained = net.clone();
+        if let Layer::Dense(l) = &mut regained.layers_mut()[0] {
+            let k = Activation::Sigmoid { k: 0.2 };
+            *l = DenseLayer::new(l.weights().clone(), l.bias().to_vec(), k);
+        }
+        assert_ne!(NetId::of(&regained), id);
+        // A -0.0 output bias equals 0.0 as a network, never as an identity.
+        let with_bias = |b| Mlp::new(net.layers().to_vec(), net.output_weights().to_vec(), b);
+        assert_eq!(with_bias(0.0), with_bias(-0.0));
+        assert_ne!(NetId::of(&with_bias(0.0)), NetId::of(&with_bias(-0.0)));
     }
 
     #[test]

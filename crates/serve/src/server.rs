@@ -63,7 +63,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use neurofail_inject::{ArtifactStore, PlanId, PlanRegistry, RegisteredPlan};
-use neurofail_nn::{BatchWorkspace, Mlp, NoBatchTap};
+use neurofail_nn::{BatchWorkspace, NoBatchTap};
 use neurofail_par::channel::{self, TrySendError};
 use neurofail_par::oneshot::Oneshot;
 use neurofail_par::seed::splitmix64;
@@ -1004,20 +1004,18 @@ fn supervisor_loop(
 /// computing, and answers each row by *taking* it out — the invariant the
 /// supervisor's recovery rests on (see the [module docs](self)).
 /// Best-effort write-through of a flush's nominal checkpoint to the
-/// shared store tier. Failure (a full disk, a torn publish under chaos)
-/// can cost a future warm start, never the current flush — the computed
-/// checkpoint in `ws` stays authoritative either way.
-fn publish_checkpoint_to(
-    store: &Option<Arc<Mutex<ArtifactStore>>>,
-    stats: &ShardStats,
-    net: &Mlp,
-    xs: &Matrix,
-    ws: &BatchWorkspace,
-    nominal: &[f64],
-) {
-    if let Some(store) = store {
-        if let Ok(true) = store.lock().publish_checkpoint(net, xs, ws, nominal) {
-            stats.on_store_publish();
+/// shared store tier, under the shard's network identity. Failure (a
+/// full disk, a torn publish under chaos) can cost a future warm start,
+/// never the current flush — the computed checkpoint in `ws` stays
+/// authoritative either way.
+fn publish_checkpoint_to(shared: &ShardShared, xs: &Matrix, ws: &BatchWorkspace, nominal: &[f64]) {
+    if let Some(store) = &shared.store {
+        let (net, id) = (shared.plans[0].1.net(), shared.plans[0].1.net_id());
+        if let Ok(true) = store
+            .lock()
+            .publish_checkpoint_with_id(net, id, xs, ws, nominal)
+        {
+            shared.stats.on_store_publish();
         }
     }
 }
@@ -1035,6 +1033,7 @@ fn worker_loop(
     let stats = &shared.stats;
     let dim = plans[0].1.input_dim();
     let net = Arc::clone(plans[0].1.net());
+    let net_id = plans[0].1.net_id();
     let mut ws_nominal = BatchWorkspace::default();
     let mut ws_scratch = BatchWorkspace::default();
     let mut xs = Matrix::zeros(0, dim);
@@ -1170,7 +1169,7 @@ fn worker_loop(
                 nominal.extend_from_slice(&ys);
                 // The grown checkpoint is new content: publish it so
                 // shard-mates and future workers can start from it.
-                publish_checkpoint_to(&shared.store, stats, &net, &xs, &ws_nominal, &nominal);
+                publish_checkpoint_to(&shared, &xs, &ws_nominal, &nominal);
             }
             (prev_rows * net.depth()) as u64
         } else {
@@ -1181,10 +1180,10 @@ fn worker_loop(
             // rehydrates `ws_nominal` bitwise, so the resumes below cannot
             // tell it from a fresh pass; any store damage degrades to the
             // compute path.
-            let store_y = shared
-                .store
-                .as_ref()
-                .and_then(|s| s.lock().load_checkpoint(&net, &xs, &mut ws_nominal));
+            let store_y = shared.store.as_ref().and_then(|s| {
+                s.lock()
+                    .load_checkpoint_with_id(&net, net_id, &xs, &mut ws_nominal)
+            });
             nominal.clear();
             match store_y {
                 Some(ys) => {
@@ -1193,7 +1192,7 @@ fn worker_loop(
                 }
                 None => {
                     nominal.extend(net.forward_batch(&xs, &mut ws_nominal));
-                    publish_checkpoint_to(&shared.store, stats, &net, &xs, &ws_nominal, &nominal);
+                    publish_checkpoint_to(&shared, &xs, &ws_nominal, &nominal);
                 }
             }
             0

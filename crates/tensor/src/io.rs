@@ -54,31 +54,35 @@ fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// FNV-1a over a sequence of 64-bit words, SplitMix64-finalised: the fold
+/// behind [`checksum64`], exposed for content hashes whose input is
+/// already words (an input set's dimensions and element bits). A pure
+/// function of the words, stable across hosts and runs.
+pub fn checksum64_words(words: impl IntoIterator<Item = u64>) -> u64 {
+    let h = words
+        .into_iter()
+        .fold(FNV_OFFSET, |h, v| (h ^ v).wrapping_mul(FNV_PRIME));
+    splitmix64(h)
+}
+
 /// FNV-1a over the stream's little-endian 64-bit words (a short tail is
 /// zero-padded, with the byte length folded in first so `[0]` and `[0, 0]`
 /// hash apart), SplitMix64-finalised. A pure function of the bytes —
 /// stable across hosts and runs, which is what lets two processes agree
 /// on whether a record is intact.
 pub fn checksum64(bytes: &[u8]) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = FNV_OFFSET;
-    let mut mix = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(FNV_PRIME);
-    };
-    mix(bytes.len() as u64);
-    let mut chunks = bytes.chunks_exact(8);
-    for w in &mut chunks {
-        mix(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
-    }
+    let chunks = bytes.chunks_exact(8);
     let tail = chunks.remainder();
-    if !tail.is_empty() {
+    let tail = (!tail.is_empty()).then(|| {
         let mut w = [0u8; 8];
         w[..tail.len()].copy_from_slice(tail);
-        mix(u64::from_le_bytes(w));
-    }
-    splitmix64(h)
+        u64::from_le_bytes(w)
+    });
+    let words = chunks.map(|w| u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+    checksum64_words(std::iter::once(bytes.len() as u64).chain(words).chain(tail))
 }
 
 /// Append-only little-endian encoder for artifact payloads.
@@ -434,6 +438,16 @@ mod tests {
         assert!(ByteReader::new(&sb).get_str().is_err());
         // Empty input fails cleanly on the first word.
         assert!(ByteReader::new(&[]).get_u64().is_err());
+    }
+
+    #[test]
+    fn checksum_values_are_pinned() {
+        // Store records and fleet frames written by any build carry these
+        // values: the fold must never change.
+        let bytes: Vec<u8> = (0u8..13).collect();
+        assert_eq!(checksum64(&[]), 0x71b8_262b_b6e2_e086);
+        assert_eq!(checksum64(&bytes[..8]), 0x09c7_5ea2_a734_6e20);
+        assert_eq!(checksum64(&bytes), 0x92a1_46e7_9a98_b5b6);
     }
 
     #[test]

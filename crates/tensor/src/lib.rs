@@ -31,6 +31,6 @@ pub mod ops;
 pub mod stats;
 
 pub use backend::{BackendKind, ComputeBackend};
-pub use io::{checksum64, ByteReader, ByteWriter, DecodeError, MappedFile};
+pub use io::{checksum64, checksum64_words, ByteReader, ByteWriter, DecodeError, MappedFile};
 pub use matrix::Matrix;
 pub use stats::{OnlineStats, Summary};

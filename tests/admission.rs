@@ -21,7 +21,7 @@ use neurofail::inject::plan::{
 use neurofail::inject::{ArtifactStore, CompiledPlan, PlanError, PlanRegistry};
 use neurofail::nn::activation::Activation;
 use neurofail::nn::builder::MlpBuilder;
-use neurofail::nn::{BatchWorkspace, Mlp};
+use neurofail::nn::{BatchWorkspace, Mlp, NetId};
 use neurofail::tensor::init::Init;
 use neurofail::tensor::Matrix;
 use rand::Rng;
@@ -264,7 +264,7 @@ fn dedup_spans_content_equal_networks() {
     let a = net(57, 2, 5);
     let b = net(57, 2, 5); // same seed → bitwise-equal weights, new Arc
     assert!(!Arc::ptr_eq(&a, &b));
-    assert!(neurofail::inject::nets_content_equal(&a, &b));
+    assert_eq!(NetId::of(&a), NetId::of(&b));
 
     let mut reg = PlanRegistry::new();
     let plan = stuck(0, 1, 0.5);

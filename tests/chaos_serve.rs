@@ -294,6 +294,8 @@ fn poison_plan_is_quarantined_and_the_shard_survives() {
 /// starts with a fresh workspace (the streaming checkpoint is deliberately
 /// discarded), so served values are bitwise identical to a no-chaos run —
 /// only the checkpoint-reuse statistics differ.
+/// One shard (plans coalesced), so hit 1 of the process-global
+/// `serve::recv` counter is its worker's return between the rounds.
 #[test]
 fn streaming_worker_killed_between_chunks_rebuilds_bitwise() {
     quiet_chaos_panics();
@@ -303,6 +305,7 @@ fn streaming_worker_killed_between_chunks_rebuilds_bitwise() {
         max_wait: Duration::from_millis(500),
         workers: Parallelism::Sequential,
         streaming_ingest: true,
+        coalesce_plans: true,
         ..ServeConfig::default()
     };
     let probe: Vec<[f64; 2]> = (0..4).map(|i| [0.25 * i as f64 - 0.4, 0.15]).collect();

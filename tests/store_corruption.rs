@@ -9,24 +9,35 @@
 //! recompute) or a *clean miss* that recomputes to the same bits. Never a
 //! panic, never an `Err` escaping the lookup path, never a wrong value.
 //! The fuzzer below drives ≥50 seeded damage campaigns against populated
-//! stores; the `chaos` module additionally kills writers mid-publish at
-//! each deterministic failpoint site (`--features failpoints`) and
-//! requires the survivor to be cold-equivalent too.
+//! stores, plus records re-keyed to another network (which random damage
+//! cannot produce); the `chaos` module additionally kills writers
+//! mid-publish at each deterministic failpoint site (`--features
+//! failpoints`) and requires the survivor to be cold-equivalent too. The
+//! failpoint schedule is process-global, so every test that publishes
+//! holds the chaos session: none can consume another's armed hit.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use neurofail::data::rng::rng;
+use neurofail::inject::plan::{SynapseFault, SynapseSite, SynapseTarget};
 use neurofail::inject::{
     ArtifactStore, ByzantineStrategy, CheckpointCache, InjectionPlan, PlanId, PlanRegistry,
 };
 use neurofail::nn::activation::Activation;
 use neurofail::nn::builder::MlpBuilder;
-use neurofail::nn::{BatchWorkspace, Mlp};
+use neurofail::nn::{BatchWorkspace, Mlp, NetId};
 use neurofail::tensor::init::Init;
 use neurofail::tensor::Matrix;
 use rand::Rng;
+
+/// Hold the process-wide chaos session, nothing armed (a no-op without
+/// the `failpoints` feature).
+fn chaos_session() -> impl Sized {
+    #[cfg(feature = "failpoints")]
+    return neurofail::par::failpoint::install(neurofail::par::failpoint::ChaosSchedule::new(0));
+}
 
 fn store_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("nf-store-fuzz-{tag}-{}", std::process::id()));
@@ -164,6 +175,7 @@ fn damage(dir: &Path, r: &mut impl Rng) -> &'static str {
 /// every campaign.
 #[test]
 fn fifty_seeds_of_damage_never_yield_a_wrong_bit() {
+    let _session = chaos_session();
     for seed in 0..55u64 {
         let dir = store_dir(&format!("s{seed}"));
         let mut r = rng(seed ^ 0xDA3A);
@@ -233,6 +245,72 @@ fn fifty_seeds_of_damage_never_yield_a_wrong_bit() {
         );
         let _ = fs::remove_dir_all(&dir);
     }
+}
+
+/// Copy the record at `path` under network hash `net_hash`: the header
+/// key and the file name change, the payload and its checksum do not.
+fn rekey(path: &Path, net_hash: u64) {
+    let mut bytes = fs::read(path).unwrap();
+    bytes[16..24].copy_from_slice(&net_hash.to_le_bytes());
+    // `{kind:02x}-{net:016x}-{aux:016x}.rec`
+    let name = path.file_name().unwrap().to_str().unwrap();
+    let name = format!("{}{net_hash:016x}{}", &name[..3], &name[19..]);
+    fs::write(path.with_file_name(name), bytes).unwrap();
+}
+
+/// Records of net A re-keyed to net B keep a valid checksum (it covers the
+/// payload only); B's network bytes, and for the compiled plan B's weight
+/// at the crashed synapse, must reject them: a verify reject, never A's
+/// values.
+#[test]
+fn records_rekeyed_to_another_network_are_rejected() {
+    let _session = chaos_session();
+    let dir = store_dir("rekey");
+    let (net_a, net_b) = (Arc::new(build_net(1, 2, 4)), Arc::new(build_net(2, 2, 4)));
+    let crash = SynapseSite {
+        target: SynapseTarget::Hidden {
+            layer: 1,
+            to: 2,
+            from: 1,
+        },
+        fault: SynapseFault::Crash,
+    };
+    let plan = InjectionPlan {
+        neurons: vec![],
+        synapses: vec![crash],
+    };
+    assert_ne!(
+        net_a.layers()[1].weight(2, 1),
+        net_b.layers()[1].weight(2, 1)
+    );
+    let xs = probes(1, 4);
+    let (mut ws, mut out) = (BatchWorkspace::default(), BatchWorkspace::default());
+    let y = net_a.forward_batch(&xs, &mut ws);
+    let mut store = ArtifactStore::open(&dir).unwrap();
+    store.publish_checkpoint(&net_a, &xs, &ws, &y).unwrap();
+    PlanRegistry::new()
+        .register_with_store(Arc::clone(&net_a), &plan, 1.0, &mut store)
+        .unwrap();
+    let records = record_files(&dir);
+    assert_eq!(records.len(), 2, "a checkpoint and a compiled plan");
+    for record in &records {
+        rekey(record, NetId::of(&net_b).hash());
+    }
+
+    assert!(store.load_checkpoint(&net_b, &xs, &mut out).is_none());
+    let mut reg = PlanRegistry::new();
+    reg.register_with_store(Arc::clone(&net_b), &plan, 1.0, &mut store)
+        .unwrap();
+    assert_eq!(store.stats().verify_rejects, 2);
+    assert_eq!(reg.admission_stats().warm_admissions, 0, "compiled cold");
+    // A's own records are untouched.
+    let got = store
+        .load_checkpoint(&net_a, &xs, &mut out)
+        .expect("A hits");
+    for (g, e) in got.iter().zip(&y) {
+        assert_eq!(g.to_bits(), e.to_bits());
+    }
+    let _ = fs::remove_dir_all(&dir);
 }
 
 /// Deterministic writer kills at every store publish site
