@@ -1,8 +1,7 @@
 //! Machine-readable performance snapshot: one JSON file
 //! (`BENCH_PR10.json`) covering the workspace's engine hot paths —
 //! campaign evaluation, training epochs, serve throughput, multi-plan
-//! evaluation, streaming input-incremental evaluation, the persistent
-//! artifact store's cold-vs-warm measured search and serve warm start,
+//! evaluation, the persistent artifact store's cold-vs-warm measured search and serve warm start,
 //! per-backend GEMM and the im2col-vs-per-row
 //! Conv1d lowering, plus multi-process fleet saturation (the same
 //! pipelined query mix against real worker processes at N = 1, 2, 4
@@ -21,7 +20,7 @@
 //! ```
 //!
 //! Smoke mode shrinks every workload so the binary doubles as a CI check
-//! that all five engines still run end to end; the emitted JSON carries
+//! that all four engines and the checkpoint cache still run end to end; the emitted JSON carries
 //! the mode so trajectories only compare like with like.
 
 use std::sync::Arc;
@@ -33,8 +32,8 @@ use neurofail_data::rng::rng;
 use neurofail_fleet::{reexec_spawner, FleetConfig, FleetRouter};
 use neurofail_inject::exhaustive::Combinations;
 use neurofail_inject::{
-    output_error_many, run_campaign, ArtifactStore, CampaignConfig, CheckpointCache, CompiledPlan,
-    FaultSpec, InjectionPlan, MultiPlanEvaluator, PlanRegistry, StreamingEvaluator, TrialKind,
+    run_campaign, ArtifactStore, CampaignConfig, CheckpointCache, CompiledPlan, FaultSpec,
+    InjectionPlan, MultiPlanEvaluator, PlanRegistry, TrialKind,
 };
 use neurofail_nn::activation::Activation;
 use neurofail_nn::builder::MlpBuilder;
@@ -355,73 +354,6 @@ fn multi_plan_metrics(smoke: bool, reps: usize) -> Vec<Metric> {
     ]
 }
 
-fn streaming_metrics(smoke: bool, reps: usize) -> Vec<Metric> {
-    let (depth, width, n_chunks, rows) = if smoke { (4, 10, 4, 4) } else { (6, 24, 4, 16) };
-    let net = Arc::new(deep_net(depth, width, 8, 0x57));
-    let last = depth - 1;
-    let plans: Vec<CompiledPlan> = (0..6)
-        .map(|n| {
-            CompiledPlan::compile(&InjectionPlan::crash([(last, n % width)]), &net, 1.0)
-                .expect("valid site")
-        })
-        .collect();
-    let stream_chunks: Vec<Matrix> = {
-        let mut r = rng(0x58);
-        (0..n_chunks)
-            .map(|_| Matrix::from_fn(rows, 8, |_, _| rand::Rng::gen_range(&mut r, 0.0..=1.0)))
-            .collect()
-    };
-    let units = (n_chunks * rows * plans.len()) as u64;
-    let workload = format!(
-        "L{depth} w{width} {} plans, {n_chunks} chunks x {rows} rows",
-        plans.len()
-    );
-    let streaming = best_of(reps, || {
-        let mut stream = StreamingEvaluator::new(Arc::clone(&net), plans.clone());
-        let mut worst = 0.0f64;
-        for chunk in &stream_chunks {
-            for errs in stream.push_chunk(chunk) {
-                for e in errs {
-                    worst = worst.max(e);
-                }
-            }
-        }
-        worst
-    });
-    // The strongest from-scratch baseline: the multi-plan suffix engine
-    // over the cumulative input set on every chunk arrival.
-    let recompute = best_of(reps, || {
-        let mut all = Matrix::zeros(0, 8);
-        let mut worst = 0.0f64;
-        for chunk in &stream_chunks {
-            let base = all.rows();
-            all.append_rows(chunk);
-            for errs in output_error_many(&net, &all, &plans) {
-                for &e in &errs[base..] {
-                    worst = worst.max(e);
-                }
-            }
-        }
-        worst
-    });
-    vec![
-        Metric {
-            name: "streaming_eval".into(),
-            workload: workload.clone(),
-            seconds: streaming,
-            units,
-            throughput: units as f64 / streaming,
-        },
-        Metric {
-            name: "streaming_eval_recompute".into(),
-            workload,
-            seconds: recompute,
-            units,
-            throughput: units as f64 / recompute,
-        },
-    ]
-}
-
 /// The persistent artifact store: a `measured_crash_thresholds` search
 /// cold (empty directory, every checkpoint computed and published) vs
 /// warm (fresh cache and store handle over the populated directory — the
@@ -480,7 +412,6 @@ fn store_metrics(smoke: bool, reps: usize) -> (Vec<Metric>, ArtifactStoreReport)
         max_batch: 1, // one row per flush: deterministic store keys
         workers: Parallelism::Sequential,
         coalesce_plans: true,
-        streaming_ingest: true,
         ..ServeConfig::default()
     };
     let queries = if smoke { 12 } else { 64 };
@@ -733,7 +664,6 @@ fn main() {
         serve,
     ];
     metrics.extend(multi_plan_metrics(smoke, reps));
-    metrics.extend(streaming_metrics(smoke, reps));
     let (store, artifact_store) = store_metrics(smoke, reps);
     metrics.extend(store);
     metrics.extend(gemm_backend_metrics(smoke, reps));

@@ -5,7 +5,7 @@
 //!
 //! * [`rounds`] — synchronous message-passing rounds with explicit message
 //!   accounting; values bit-identical to the sequential forward pass.
-//! * [`threaded`] — one OS thread per neuron over crossbeam channels ("each
+//! * [`threaded`] — one OS thread per neuron over `std::sync::mpsc` channels ("each
 //!   neuron as a single physical entity that can fail independently"),
 //!   again bit-identical — the strongest demonstration that the distributed
 //!   and mathematical models coincide.

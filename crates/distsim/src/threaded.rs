@@ -2,7 +2,7 @@
 //!
 //! The paper's model views "each neuron as a single physical entity (that
 //! can fail independently)". This runner realises that literally: every
-//! neuron is a thread, synapses are `crossbeam` channels, and a crashed
+//! neuron is a thread, synapses are `std::sync::mpsc` channels, and a crashed
 //! neuron simply stops sending (its receivers read the default 0 of
 //! Definition 2 — they know the synchronous round's expected message count
 //! and do not wait for the dead).
@@ -19,8 +19,8 @@
 //! Criterion bench `distsim_rounds` quantifies the gap.
 
 use std::collections::HashSet;
+use std::sync::mpsc::{channel, Receiver, Sender};
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use neurofail_nn::network::Layer;
 use neurofail_nn::Mlp;
 use neurofail_tensor::ops;
@@ -91,11 +91,11 @@ pub fn run_threaded(
     let mut senders: Vec<Vec<Sender<Msg>>> = Vec::with_capacity(depth);
     let mut receivers: Vec<Vec<Option<Receiver<Msg>>>> = Vec::with_capacity(depth);
     for &n in &widths {
-        let (tx, rx): (Vec<_>, Vec<_>) = (0..n).map(|_| unbounded::<Msg>()).unzip();
+        let (tx, rx): (Vec<_>, Vec<_>) = (0..n).map(|_| channel::<Msg>()).unzip();
         senders.push(tx);
         receivers.push(rx.into_iter().map(Some).collect());
     }
-    let (out_tx, out_rx) = unbounded::<Msg>();
+    let (out_tx, out_rx) = channel::<Msg>();
 
     // Expected message counts per receiving stage (senders minus crashed).
     let crashed_in_layer =
@@ -111,7 +111,7 @@ pub fn run_threaded(
         .collect();
 
     let mut output = 0.0;
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for l in 0..depth {
             for j in 0..widths[l] {
                 let rx = receivers[l][j].take().expect("receiver taken once");
@@ -124,7 +124,7 @@ pub fn run_threaded(
                 let is_crashed = crashed.contains(&(l, j));
                 let fan_in = net.layers()[l].in_dim();
                 let net_ref = &*net;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     // Assemble the round's messages indexed by sender;
                     // silent (crashed) senders default to 0 (Definition 2).
                     let mut vals = vec![0.0; fan_in];
@@ -166,8 +166,7 @@ pub fn run_threaded(
             vals[i] = v;
         }
         output = ops::dot(net.output_weights(), &vals) + net.output_bias();
-    })
-    .expect("neuron thread panicked");
+    });
 
     Ok(output)
 }

@@ -33,7 +33,7 @@ use neurofail_tensor::{checksum64, ByteReader, ByteWriter, DecodeError, OnlineSt
 pub const MAGIC: u64 = u64::from_le_bytes(*b"NFFLEET1");
 /// Protocol version; a frame carrying any other value is rejected with
 /// [`ProtocolError::Version`] (stale workers cannot silently interoperate).
-pub const PROTO_VERSION: u64 = 1;
+pub const PROTO_VERSION: u64 = 2;
 /// Hard ceiling on a frame's payload, bounding what a corrupt or hostile
 /// length prefix can make the receiver allocate.
 pub const MAX_PAYLOAD: u64 = 1 << 26;
@@ -268,8 +268,6 @@ pub struct WireServeConfig {
     pub queue_capacity: u64,
     /// Record a request log for audit/replay (always on in fleets).
     pub record_log: bool,
-    /// [`neurofail_serve::ServeConfig::streaming_ingest`].
-    pub streaming_ingest: bool,
     /// [`neurofail_serve::ServeConfig::max_plan_strikes`].
     pub max_plan_strikes: u64,
 }
@@ -457,7 +455,6 @@ impl Message {
                 w.put_u64(cfg.max_wait_nanos);
                 w.put_u64(cfg.queue_capacity);
                 w.put_u64(cfg.record_log as u64);
-                w.put_u64(cfg.streaming_ingest as u64);
                 w.put_u64(cfg.max_plan_strikes);
                 K_CONFIGURE
             }
@@ -606,7 +603,6 @@ impl Message {
                 max_wait_nanos: r.get_u64()?,
                 queue_capacity: r.get_u64()?,
                 record_log: get_bool(&mut r)?,
-                streaming_ingest: get_bool(&mut r)?,
                 max_plan_strikes: r.get_u64()?,
             }),
             K_REGISTER => Message::Register {
@@ -934,7 +930,6 @@ mod tests {
                 max_wait_nanos: 100_000,
                 queue_capacity: 1024,
                 record_log: true,
-                streaming_ingest: false,
                 max_plan_strikes: 3,
             }),
             Message::Register {
@@ -1054,7 +1049,10 @@ mod tests {
         stale[8..16].copy_from_slice(&99u64.to_le_bytes());
         assert_eq!(
             read_frame(&mut &stale[..]),
-            Err(ProtocolError::Version { got: 99, want: 1 })
+            Err(ProtocolError::Version {
+                got: 99,
+                want: PROTO_VERSION
+            })
         );
 
         let mut unknown = good.clone();

@@ -747,7 +747,6 @@ impl Supervisor {
             max_wait_nanos: self.cfg.serve.max_wait.as_nanos() as u64,
             queue_capacity: self.cfg.serve.queue_capacity as u64,
             record_log: true,
-            streaming_ingest: self.cfg.serve.streaming_ingest,
             max_plan_strikes: self.cfg.serve.max_plan_strikes as u64,
         };
         if self.send_to(i, &Message::Configure(wire)) {

@@ -29,7 +29,7 @@ use std::collections::HashMap;
 use std::io::Write;
 use std::path::PathBuf;
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 use neurofail_inject::{ArtifactStore, CampaignConfig, PlanRegistry, TrialKind};
@@ -208,7 +208,6 @@ pub fn run_worker(
                     max_wait: Duration::from_nanos(wire.max_wait_nanos),
                     queue_capacity: wire.queue_capacity as usize,
                     record_log: wire.record_log,
-                    streaming_ingest: wire.streaming_ingest,
                     max_plan_strikes: wire.max_plan_strikes as u32,
                     ..ServeConfig::default()
                 };
@@ -228,7 +227,7 @@ pub fn run_worker(
                     state.retire_server();
                     let id = match &state.store {
                         Some(store) => {
-                            let mut guard = store.lock();
+                            let mut guard = store.lock().unwrap_or_else(PoisonError::into_inner);
                             state
                                 .registry
                                 .register_with_store(net, &decoded, capacity, &mut guard)

@@ -344,9 +344,9 @@ impl CompiledPlan {
     /// nominal checkpoint: the caller supplies the taps (`ws_nominal`)
     /// and nominal outputs (`nominal_y`) a previous nominal pass over
     /// `(net, xs)` produced — from a
-    /// [`CheckpointCache`](crate::CheckpointCache) entry, a
-    /// [`MultiPlanEvaluator`](crate::MultiPlanEvaluator), or a streaming
-    /// chunk — and only the faulty suffix runs. Bitwise equal to
+    /// [`CheckpointCache`](crate::CheckpointCache) entry or a
+    /// [`MultiPlanEvaluator`](crate::MultiPlanEvaluator) — and only the
+    /// faulty suffix runs. Bitwise equal to
     /// [`CompiledPlan::output_error_batch`] under the usual checkpoint
     /// validity rules (the checkpoint must come from a nominal pass over
     /// exactly this `(net, xs)`).

@@ -26,15 +26,16 @@
 //! * [`registry`] — long-lived sets of `(network, compiled plan)` pairs
 //!   addressed by dense [`registry::PlanId`]s, the plan-sharding substrate
 //!   of the serving engine (`neurofail-serve`).
-//! * [`cache`] / [`streaming`] — the **input-incremental engine**: a
-//!   content-addressed LRU cache of nominal checkpoints
-//!   ([`cache::CheckpointCache`], keyed by the network's
-//!   [`NetId`](neurofail_nn::NetId) and the input set's hash) so repeated
-//!   evaluations over the same input set skip even the one nominal pass,
-//!   and a
-//!   [`streaming::StreamingEvaluator`] that certifies a fixed plan family
-//!   against inputs arriving in chunks — new work proportional to
-//!   (new inputs × suffix layers), never (all inputs × all layers).
+//! * [`cache`] — the **one nominal-checkpoint path** for consumers that
+//!   revisit input sets: a content-addressed LRU cache of nominal
+//!   checkpoints ([`cache::CheckpointCache`], keyed by the network's
+//!   [`NetId`](neurofail_nn::NetId) and the input set's hash), so a
+//!   repeated input set skips even the one nominal pass, and a set that
+//!   starts with a resident one pays only for its new rows. Serving
+//!   workers, measured searches and `eval_many_cached` all get their
+//!   checkpoints here.
+//! * [`store`] — the cache's persistent disk tier, shareable across
+//!   caches ([`store::SharedArtifactStore`]) and processes.
 //! * [`ir`] — the **admission pipeline** (validate → normalize → compile
 //!   → cache: typed rejection, dedup of plans equal up to fault value onto
 //!   one compiled body, warm-started admission from the [`store`]; both
@@ -57,9 +58,11 @@ pub mod planner;
 pub mod registry;
 pub mod sampler;
 pub mod store;
-pub mod streaming;
 
-pub use cache::{input_set_hash, net_content_hash, CacheStats, CachedCheckpoint, CheckpointCache};
+pub use cache::{
+    input_set_hash, net_content_hash, CacheStats, CachedCheckpoint, CheckpointCache,
+    CheckpointSource,
+};
 pub use campaign::{
     merge_trials, run_campaign, run_campaign_trials, CampaignConfig, CampaignResult, TrialKind,
     TrialResult, WorstCase,
@@ -77,5 +80,4 @@ pub use plan::{ByzantineStrategy, InjectionPlan, NeuronFault, SynapseFault};
 pub use planner::{Engine, Planner, PlannerStats, RequestMix};
 pub use registry::{PlanId, PlanRegistry, RegisteredPlan};
 pub use sampler::FaultSpec;
-pub use store::{ArtifactStore, StoreStats};
-pub use streaming::{StreamStats, StreamingEvaluator};
+pub use store::{share_store, ArtifactStore, SharedArtifactStore, StoreStats};

@@ -32,7 +32,6 @@ use crate::executor::CompiledPlan;
 /// resume any number of plans' faulty suffixes against it.
 ///
 /// Construction runs the nominal batched pass once; each
-/// [`run_plan`](MultiPlanEvaluator::run_plan) /
 /// [`output_error`](MultiPlanEvaluator::output_error) call afterwards costs
 /// only the plan's faulty **suffix**. The checkpoint workspace is read-only
 /// after construction (the aliasing rule that makes one checkpoint safe to
@@ -98,30 +97,19 @@ impl<'a> MultiPlanEvaluator<'a> {
         &self.nominal_ws
     }
 
-    /// Faulty outputs `F_fail(x_b)` of `plan`, resumed at its first
-    /// faulty layer. Bitwise equal to
-    /// [`CompiledPlan::run_batch`]`(net, xs, …)`.
-    pub fn run_plan(&mut self, plan: &CompiledPlan) -> Vec<f64> {
-        let from = plan.first_faulty_layer().min(self.net.depth());
-        let faulty = plan.resume_batch_checkpointed(
+    /// Disturbances `|F_neu(x_b) − F_fail(x_b)|` of `plan`, resumed at
+    /// its first faulty layer against this checkpoint
+    /// ([`CompiledPlan::output_error_checkpointed`]). Bitwise equal to
+    /// [`CompiledPlan::output_error_batch`]`(net, xs, …)`.
+    pub fn output_error(&mut self, plan: &CompiledPlan) -> Vec<f64> {
+        self.prefix_rows_saved += plan.first_faulty_layer() as u64 * self.xs.rows() as u64;
+        plan.output_error_checkpointed(
             self.net,
             self.xs,
             &self.nominal_ws,
+            &self.nominal_y,
             &mut self.scratch,
-            from,
-        );
-        self.prefix_rows_saved += from as u64 * self.xs.rows() as u64;
-        faulty
-    }
-
-    /// Disturbances `|F_neu(x_b) − F_fail(x_b)|` of `plan`. Bitwise equal
-    /// to [`CompiledPlan::output_error_batch`]`(net, xs, …)`.
-    pub fn output_error(&mut self, plan: &CompiledPlan) -> Vec<f64> {
-        let mut errors = self.run_plan(plan);
-        for (e, &nom) in errors.iter_mut().zip(&self.nominal_y) {
-            *e = (nom - *e).abs();
-        }
-        errors
+        )
     }
 
     /// Layer-rows of faulty-prefix work skipped so far: a plan resumed at

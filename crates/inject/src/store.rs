@@ -84,6 +84,7 @@
 use std::fs::{self, File};
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex};
 
 use neurofail_nn::{net_from_bytes, net_to_bytes, BatchWorkspace, Mlp, NetId};
 use neurofail_tensor::io::{checksum64, ByteReader, ByteWriter, DecodeError, MappedFile};
@@ -134,6 +135,21 @@ pub struct StoreStats {
     /// [`CacheStats::nominal_rows_saved`](crate::CacheStats::nominal_rows_saved)
     /// accounting, at the disk tier).
     pub nominal_rows_saved: u64,
+}
+
+/// One [`ArtifactStore`] handle shared by many owners: every
+/// [`CheckpointCache`](crate::CheckpointCache) of a serving shard, and,
+/// by opening the same directory again, later processes.
+///
+/// Every lock of the handle recovers a poisoned mutex
+/// (`unwrap_or_else(PoisonError::into_inner)`): a holder that panics
+/// mid-publish leaves at worst a stray temp file, which contract 13
+/// already treats as a valid (cold) store.
+pub type SharedArtifactStore = Arc<Mutex<ArtifactStore>>;
+
+/// Wrap an opened store into a [`SharedArtifactStore`].
+pub fn share_store(store: ArtifactStore) -> SharedArtifactStore {
+    Arc::new(Mutex::new(store))
 }
 
 /// In-memory mirror of one index row.
@@ -237,8 +253,8 @@ impl ArtifactStore {
     /// `forward_batch` would produce, by construction of the publish
     /// path's bitwise round trip. On any miss — no record, or a record
     /// that fails verification — returns `None` with `ws` contents
-    /// unspecified, and the caller recomputes. Builds a [`NetId`]; holders
-    /// of one call [`load_checkpoint_with_id`](Self::load_checkpoint_with_id).
+    /// unspecified, and the caller recomputes. Builds a [`NetId`]; a
+    /// [`CheckpointCache`](crate::CheckpointCache) passes the one it holds.
     pub fn load_checkpoint(
         &mut self,
         net: &Mlp,
@@ -250,7 +266,7 @@ impl ArtifactStore {
 
     /// [`load_checkpoint`](Self::load_checkpoint) under the caller's
     /// `id == NetId::of(net)`, hashing nothing.
-    pub fn load_checkpoint_with_id(
+    pub(crate) fn load_checkpoint_with_id(
         &mut self,
         net: &Mlp,
         id: &NetId,
@@ -268,8 +284,8 @@ impl ArtifactStore {
     /// `nominal_y` as produced by `net.forward_batch(xs, ws)`. Returns
     /// `Ok(false)` if an identically-keyed record already exists (content
     /// addressing makes re-publishing a no-op), `Ok(true)` once the
-    /// record is durably renamed into place. Builds a [`NetId`]; holders of
-    /// one call [`publish_checkpoint_with_id`](Self::publish_checkpoint_with_id).
+    /// record is durably renamed into place. Builds a [`NetId`]; a
+    /// [`CheckpointCache`](crate::CheckpointCache) passes the one it holds.
     ///
     /// # Panics
     /// If `ws`/`nominal_y` are not shaped as a checkpoint of `(net, xs)`
@@ -287,7 +303,7 @@ impl ArtifactStore {
 
     /// [`publish_checkpoint`](Self::publish_checkpoint) (same panics) under
     /// the caller's `id == NetId::of(net)`, hashing nothing.
-    pub fn publish_checkpoint_with_id(
+    pub(crate) fn publish_checkpoint_with_id(
         &mut self,
         net: &Mlp,
         id: &NetId,

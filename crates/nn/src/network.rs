@@ -296,28 +296,6 @@ impl BatchWorkspace {
         self.batch += other.batch;
     }
 
-    /// Retire the oldest `n` rows of the checkpoint, layer by layer — the
-    /// eviction companion to [`append_from`](Self::append_from), making a
-    /// long-lived checkpoint a *sliding window* over an input stream.
-    /// Surviving rows keep their bits (per-row independence again: a row's
-    /// sums and outputs never depended on the rows above it), so a
-    /// checkpoint evicted this way stays bitwise equal to one recomputed
-    /// from scratch over the retained suffix of the inputs.
-    ///
-    /// # Panics
-    /// If `n > self.batch()`.
-    pub fn drop_prefix_rows(&mut self, n: usize) {
-        assert!(
-            n <= self.batch,
-            "drop_prefix_rows: dropping {n} of {} checkpoint rows",
-            self.batch
-        );
-        for m in self.sums.iter_mut().chain(self.outs.iter_mut()) {
-            m.drop_prefix_rows(n);
-        }
-        self.batch -= n;
-    }
-
     /// Whether the buffers match `(net, batch)`.
     fn fits(&self, net: &Mlp, batch: usize) -> bool {
         self.batch == batch
@@ -689,11 +667,9 @@ impl Mlp {
 
     /// [`Mlp::extend_batch`] with a caller-provided scratch workspace —
     /// allocation-free once the scratch has grown to the largest chunk
-    /// seen, the shape streaming loops want. After the call, `scratch`
-    /// holds the *chunk's* nominal taps (a valid checkpoint over
-    /// `new_rows` alone), which lets a streaming evaluator resume per-plan
-    /// faulty suffixes for the chunk without copying rows back out of the
-    /// grown checkpoint.
+    /// seen (the checkpoint cache's prefix extension keeps one). After the
+    /// call, `scratch` holds the *chunk's* nominal taps: a valid
+    /// checkpoint over `new_rows` alone.
     pub fn extend_batch_with(
         &self,
         ws: &mut BatchWorkspace,

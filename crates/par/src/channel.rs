@@ -6,8 +6,7 @@
 //! request queue (MPMC), and its micro-batching scheduler waits for more
 //! work *until a flush deadline*, not for a fixed timeout re-armed on every
 //! arrival. This module implements the small surface actually required, on
-//! `std`'s `Mutex` + `Condvar` (the vendored `parking_lot` shim exposes no
-//! condvar, and the channel predates any need for one):
+//! `std`'s `Mutex` + `Condvar`:
 //!
 //! * [`bounded`] — a FIFO queue of fixed capacity; [`Sender::send`] blocks
 //!   while the queue is full (backpressure), [`Receiver::recv`] blocks

@@ -8,8 +8,7 @@
 //! allocation- and contention-free.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-use parking_lot::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use crate::policy::Parallelism;
 
@@ -19,7 +18,8 @@ use crate::policy::Parallelism;
 /// `(0..len).map(f).collect()` for any `Parallelism` policy.
 ///
 /// # Panics
-/// Propagates panics from `f` (the scope join panics on worker panic).
+/// Propagates panics from `f` (the scope re-raises a worker's panic
+/// after joining every worker).
 pub fn parallel_map<U, F>(policy: Parallelism, len: usize, f: F) -> Vec<U>
 where
     U: Send,
@@ -32,9 +32,9 @@ where
     let cursor = AtomicUsize::new(0);
     let parts: Mutex<Vec<(usize, Vec<U>)>> = Mutex::new(Vec::new());
 
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..policy.worker_count() {
-            scope.spawn(|_| loop {
+            scope.spawn(|| loop {
                 let start = cursor.fetch_add(chunk, Ordering::Relaxed);
                 if start >= len {
                     break;
@@ -44,13 +44,15 @@ where
                 for i in start..end {
                     buf.push(f(i));
                 }
-                parts.lock().push((start, buf));
+                parts
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .push((start, buf));
             });
         }
-    })
-    .expect("worker thread panicked");
+    });
 
-    let mut parts = parts.into_inner();
+    let mut parts = parts.into_inner().unwrap_or_else(PoisonError::into_inner);
     parts.sort_unstable_by_key(|(start, _)| *start);
     let mut out = Vec::with_capacity(len);
     for (_, buf) in parts {
@@ -74,9 +76,9 @@ where
     }
     let chunk = policy.chunk_size(len);
     let cursor = AtomicUsize::new(0);
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..policy.worker_count() {
-            scope.spawn(|_| loop {
+            scope.spawn(|| loop {
                 let start = cursor.fetch_add(chunk, Ordering::Relaxed);
                 if start >= len {
                     break;
@@ -86,8 +88,7 @@ where
                 }
             });
         }
-    })
-    .expect("worker thread panicked");
+    });
 }
 
 /// Fold `0..len` into an accumulator of type `A`.
@@ -112,9 +113,9 @@ where
     let chunk = policy.chunk_size(len);
     let cursor = AtomicUsize::new(0);
     let parts: Mutex<Vec<(usize, A)>> = Mutex::new(Vec::new());
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..policy.worker_count() {
-            scope.spawn(|_| {
+            scope.spawn(|| {
                 // (first chunk start, local accumulator)
                 let mut local: Option<(usize, A)> = None;
                 loop {
@@ -133,14 +134,16 @@ where
                     local = Some((first, acc));
                 }
                 if let Some(entry) = local {
-                    parts.lock().push(entry);
+                    parts
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .push(entry);
                 }
             });
         }
-    })
-    .expect("worker thread panicked");
+    });
 
-    let mut parts = parts.into_inner();
+    let mut parts = parts.into_inner().unwrap_or_else(PoisonError::into_inner);
     parts.sort_unstable_by_key(|(first, _)| *first);
     parts.into_iter().map(|(_, acc)| acc).fold(init, combine)
 }

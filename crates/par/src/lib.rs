@@ -16,7 +16,7 @@
 //!   threads) carried by every campaign API in the workspace.
 //! * [`parallel_map`] / [`for_each_index`] / [`parallel_reduce`] — chunked,
 //!   order-preserving data-parallel combinators built on
-//!   `crossbeam::thread::scope` (no `'static` bound on closures or data).
+//!   `std::thread::scope` (no `'static` bound on closures or data).
 //! * [`seed::SeedSequence`] — deterministic per-task RNG seed derivation so
 //!   results are *identical* regardless of thread count or scheduling.
 //! * [`channel`] — bounded FIFO channels with deadline receives and clean

@@ -37,31 +37,18 @@ pub struct ServeConfig {
     /// [`take_log`](crate::CertServer::take_log) (for deterministic
     /// replay/audit). Off by default: the log grows with traffic.
     pub record_log: bool,
-    /// Coalesce requests for **different plans** sharing one network into
-    /// shared-net shards: plans registered against the same `Arc<Mlp>` get
-    /// one queue and worker pool, and each flush runs a *single* nominal
-    /// pass over every queued row plus one resumed faulty **suffix** per
+    /// Coalesce requests for **different plans** of one admission family
+    /// into one shard: plans registered against content-equal networks
+    /// (bitwise-equal parameters, no `Arc` identity required) get one
+    /// queue and worker pool, and each flush gets a *single* nominal
+    /// checkpoint over every queued row plus one resumed faulty **suffix** per
     /// plan present in the flush (the multi-plan engine of
     /// `neurofail_inject::multi` at the serving layer). Served values stay
     /// bitwise identical to per-plan serving; the saving is the per-plan
     /// faulty prefix, reported as
     /// [`ServeStats::nominal_rows_saved`](crate::ServeStats). Off by
-    /// default (per-plan shards, PR 3's layout).
+    /// default (per-plan shards).
     pub coalesce_plans: bool,
-    /// Streaming-ingest mode: each shard worker keeps its previous
-    /// flush's nominal checkpoint and, when the next flush's staged rows
-    /// **start with** the previous flush's rows bitwise (the shape of
-    /// streaming re-certification traffic: clients resubmit a probe set
-    /// plus newly arrived inputs, in order), *extends* the checkpoint
-    /// with only the new suffix rows instead of rerunning the nominal
-    /// pass over everything — an identical flush reuses it outright.
-    /// Served values stay bitwise identical (the appendable-checkpoint
-    /// contract of `Mlp::extend_batch`); reuse is reported as
-    /// [`ServeStats::checkpoint_hits`](crate::ServeStats) /
-    /// [`ServeStats::checkpoint_rows_reused`](crate::ServeStats). Off by
-    /// default: the per-flush prefix comparison only pays for itself
-    /// under prefix-sharing traffic.
-    pub streaming_ingest: bool,
     /// Overload-shedding budget: when set, a submission whose estimated
     /// queue wait — current queue depth × the shard's EWMA per-row flush
     /// cost — exceeds the budget is rejected newest-first with a typed
@@ -99,7 +86,6 @@ impl Default for ServeConfig {
             workers: Parallelism::Sequential,
             record_log: false,
             coalesce_plans: false,
-            streaming_ingest: false,
             shed_budget: None,
             default_deadline: None,
             max_plan_strikes: 3,

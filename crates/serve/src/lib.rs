@@ -11,9 +11,10 @@
 //! substrate won. This crate closes that gap with **micro-batching**: per
 //! shard, a worker collects queued queries and flushes them — on
 //! `max_batch` rows, or when the `max_wait` coalescing deadline expires,
-//! whichever is first — through the suffix engine: one nominal batched
-//! pass over the flush plus a faulty pass per plan **resumed** at that
-//! plan's first faulty layer
+//! whichever is first — through the suffix engine: one nominal
+//! checkpoint for the flush, from the worker's
+//! [`CheckpointCache`](neurofail_inject::CheckpointCache), plus a faulty
+//! pass per plan **resumed** at that plan's first faulty layer
 //! ([`CompiledPlan::output_error_resumed`](neurofail_inject::CompiledPlan::output_error_resumed)
 //! semantics, bitwise equal to the two-full-passes
 //! [`output_error_batch`](neurofail_inject::CompiledPlan::output_error_batch)
@@ -111,6 +112,10 @@ pub mod server;
 pub mod stats;
 
 pub use config::ServeConfig;
+/// The shared store handle [`CertServer::start_with_store`] takes,
+/// re-exported so deployments can build it without naming the inject
+/// crate.
+pub use neurofail_inject::{share_store, SharedArtifactStore};
 /// Compute-backend selection, re-exported so serving deployments can pin
 /// the kernel backend at startup (e.g. force portable for cross-fleet
 /// bitwise reproducibility) without a direct tensor-crate dependency.
@@ -119,8 +124,7 @@ pub use neurofail_tensor::backend::{
 };
 pub use replay::{LogEntry, ReplayError, RequestLog};
 pub use server::{
-    share_store, CertServer, RequestError, ResponseHandle, RetryPolicy, ServedResponse,
-    SharedArtifactStore, SubmitError,
+    CertServer, RequestError, ResponseHandle, RetryPolicy, ServedResponse, SubmitError,
 };
 pub use stats::{
     ServeStats, BATCH_BUCKETS, BATCH_BUCKET_LABELS, RETRY_BUCKETS, RETRY_BUCKET_LABELS,

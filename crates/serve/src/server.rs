@@ -16,10 +16,22 @@
 //!    [`ServeConfig::max_wait`] deadline;
 //! 4. reap rows that must not be served (expired deadlines, quarantined
 //!    plans — each failed with a typed [`RequestError`]), stage the rest
-//!    into the shard's per-worker **in-flight table**, run **one nominal
-//!    pass** over the whole flush, resume each plan's faulty pass at its
-//!    first faulty layer against that checkpoint (the suffix engine),
-//!    and answer each row exactly once by *taking* it out of the table.
+//!    into the shard's per-worker **in-flight table**, get **one nominal
+//!    checkpoint** for the whole flush from the worker's
+//!    [`CheckpointCache`] (capacity 1, over the shard's store), resume
+//!    each plan's faulty pass at its first faulty layer against that
+//!    checkpoint (the suffix engine), and answer each row exactly once by
+//!    *taking* it out of the table.
+//!
+//! The worker cache is the only way a flush gets its nominal pass. A
+//! flush identical to the worker's previous one reuses its checkpoint; a
+//! flush that *starts* bitwise with the previous one (re-certification
+//! traffic resubmitting a probe set plus new arrivals) extends it by the
+//! new rows only; any other flush is looked up in the shard's store, if
+//! it has one (a shard-mate's, an earlier worker's or an earlier
+//! process's flush), and only a miss runs a full nominal pass, written
+//! through. A serve checkpoint never exceeds [`ServeConfig::max_batch`]
+//! rows, so the cache needs no row budget.
 //!
 //! ## Supervision (crash recovery)
 //!
@@ -33,8 +45,8 @@
 //!   taken out (`None`), so a recovered row can never be double-answered;
 //! * it respawns the worker with the recovered rows as its **first
 //!   batch** (no queue round-trip, so recovery cannot deadlock on a full
-//!   queue) and fresh workspaces — streaming-ingest checkpoints are
-//!   discarded, which only changes
+//!   queue), fresh workspaces and an empty checkpoint cache — the
+//!   discarded checkpoint only changes
 //!   [`checkpoint_hits`](crate::ServeStats::checkpoint_hits) statistics,
 //!   never values;
 //! * a panic that strikes *inside one plan's suffix resume* is attributed
@@ -58,17 +70,18 @@
 //! worker has wound down normally.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use neurofail_inject::{ArtifactStore, PlanId, PlanRegistry, RegisteredPlan};
-use neurofail_nn::{BatchWorkspace, NoBatchTap};
+use neurofail_inject::{
+    CheckpointCache, CheckpointSource, PlanId, PlanRegistry, RegisteredPlan, SharedArtifactStore,
+};
+use neurofail_nn::BatchWorkspace;
 use neurofail_par::channel::{self, TrySendError};
 use neurofail_par::oneshot::Oneshot;
 use neurofail_par::seed::splitmix64;
 use neurofail_tensor::Matrix;
-use parking_lot::Mutex;
 
 use crate::config::ServeConfig;
 use crate::replay::{LogEntry, RequestLog};
@@ -351,6 +364,10 @@ struct Request {
 /// resume, so a panic is not attributable to a plan.
 const SLOT_NONE: usize = usize::MAX;
 
+/// Entries of each worker's checkpoint cache: the previous flush's
+/// checkpoint, which the next flush reuses or extends.
+const WORKER_CACHE_ENTRIES: usize = 1;
+
 /// Worker→supervisor control events.
 enum Event {
     /// Worker thread `worker` exited; `panicked` distinguishes a crash
@@ -406,11 +423,10 @@ struct ShardShared {
     /// Per-plan-slot quarantine flags (set at `max_plan_strikes`).
     quarantined: Vec<AtomicBool>,
     /// Shared persistent checkpoint tier
-    /// ([`CertServer::start_with_store`]): flush nominal passes are
-    /// looked up here before computing, and computed checkpoints are
-    /// published back — so shard-mates, respawned workers, and future
-    /// processes reuse each other's flushes. `None` = compute-only.
-    store: Option<Arc<Mutex<ArtifactStore>>>,
+    /// ([`CertServer::start_with_store`]) under every worker's checkpoint
+    /// cache, so shard-mates, respawned workers, and future processes
+    /// reuse each other's flushes. `None` = memory only.
+    store: Option<SharedArtifactStore>,
 }
 
 /// One shard: the queue's send side, the supervisor handle, and the
@@ -422,19 +438,6 @@ struct Shard {
     supervisor: Option<JoinHandle<()>>,
     shared: Arc<ShardShared>,
     input_dim: usize,
-}
-
-/// A persistent [`ArtifactStore`] shared across shards — and, by opening
-/// the same directory again, across server restarts
-/// ([`CertServer::start_with_store`]).
-pub type SharedArtifactStore = Arc<Mutex<ArtifactStore>>;
-
-/// Wrap an opened [`ArtifactStore`] for [`CertServer::start_with_store`].
-///
-/// Lives here so deployments don't need a direct `parking_lot` dependency
-/// just to build the shared handle.
-pub fn share_store(store: ArtifactStore) -> SharedArtifactStore {
-    Arc::new(Mutex::new(store))
 }
 
 /// The async certification server: registered plans behind supervised
@@ -470,13 +473,13 @@ impl CertServer {
     }
 
     /// [`start`](Self::start), with a shared persistent checkpoint tier:
-    /// every shard consults `store` before running a flush's nominal pass
-    /// and publishes freshly computed checkpoints back. With a populated
-    /// store, the server's **first** query over a known input set is
-    /// served without any nominal forward pass (a warm start —
+    /// every worker's checkpoint cache consults `store` before running a
+    /// flush's nominal pass and writes fresh checkpoints through. With a
+    /// populated store, the server's **first** query over a known input
+    /// set is served without any nominal forward pass (a warm start —
     /// [`ServeStats::store_hits`]); and because the store outlives
     /// workers, shard-mates and restarted workers reuse each other's
-    /// flushes where per-worker streaming-ingest state cannot.
+    /// flushes where a worker's own cache cannot.
     ///
     /// The store's own contract keeps this safe: hits are bitwise-verified
     /// against the stored network and input set, so served values are
@@ -485,7 +488,7 @@ impl CertServer {
     pub fn start_with_store(
         registry: &PlanRegistry,
         cfg: ServeConfig,
-        store: Arc<Mutex<ArtifactStore>>,
+        store: SharedArtifactStore,
     ) -> CertServer {
         Self::start_inner(registry, cfg, Some(store))
     }
@@ -493,7 +496,7 @@ impl CertServer {
     fn start_inner(
         registry: &PlanRegistry,
         cfg: ServeConfig,
-        store: Option<Arc<Mutex<ArtifactStore>>>,
+        store: Option<SharedArtifactStore>,
     ) -> CertServer {
         cfg.validate();
         let log = cfg
@@ -851,7 +854,7 @@ impl CertServer {
     /// logged: the log holds exactly the answered requests.
     pub fn take_log(&self) -> RequestLog {
         let mut entries = match &self.log {
-            Some(log) => std::mem::take(&mut *log.lock()),
+            Some(log) => std::mem::take(&mut *log.lock().unwrap_or_else(PoisonError::into_inner)),
             None => Vec::new(),
         };
         entries.sort_by_key(|e| e.seq);
@@ -969,9 +972,14 @@ fn supervisor_loop(
         // Recover the staged-but-unanswered rows: everything still `Some`
         // in the dead worker's in-flight table. Answered rows were taken
         // out, so a recovered row cannot have been answered — requeueing
-        // can never double-answer.
-        let mut recovered: Vec<Request> =
-            shared.inflight[worker].lock().drain(..).flatten().collect();
+        // can never double-answer. The dead worker's panic poisoned the
+        // table's lock; the rows under it are intact.
+        let mut recovered: Vec<Request> = shared.inflight[worker]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .drain(..)
+            .flatten()
+            .collect();
         // Rows of a now-quarantined plan would crash the respawned worker
         // again; fail them typed instead of requeueing.
         let mut i = 0;
@@ -1003,23 +1011,6 @@ fn supervisor_loop(
 /// stages every batch into the shard's per-worker in-flight table before
 /// computing, and answers each row by *taking* it out — the invariant the
 /// supervisor's recovery rests on (see the [module docs](self)).
-/// Best-effort write-through of a flush's nominal checkpoint to the
-/// shared store tier, under the shard's network identity. Failure (a
-/// full disk, a torn publish under chaos) can cost a future warm start,
-/// never the current flush — the computed checkpoint in `ws` stays
-/// authoritative either way.
-fn publish_checkpoint_to(shared: &ShardShared, xs: &Matrix, ws: &BatchWorkspace, nominal: &[f64]) {
-    if let Some(store) = &shared.store {
-        let (net, id) = (shared.plans[0].1.net(), shared.plans[0].1.net_id());
-        if let Ok(true) = store
-            .lock()
-            .publish_checkpoint_with_id(net, id, xs, ws, nominal)
-        {
-            shared.stats.on_store_publish();
-        }
-    }
-}
-
 fn worker_loop(
     shared: Arc<ShardShared>,
     w: usize,
@@ -1033,20 +1024,20 @@ fn worker_loop(
     let stats = &shared.stats;
     let dim = plans[0].1.input_dim();
     let net = Arc::clone(plans[0].1.net());
+    // The shard's identity, computed once at registration: no flush
+    // hashes the network, not even a respawned worker's first.
     let net_id = plans[0].1.net_id();
-    let mut ws_nominal = BatchWorkspace::default();
+    let depth = net.depth();
+    // The worker's one nominal-checkpoint path. A respawned worker starts
+    // with an empty cache — a discarded checkpoint only costs
+    // `checkpoint_hits`, never values.
+    let mut cache = CheckpointCache::new(WORKER_CACHE_ENTRIES);
+    if let Some(store) = &shared.store {
+        cache.attach_shared_store(Arc::clone(store));
+    }
     let mut ws_scratch = BatchWorkspace::default();
     let mut xs = Matrix::zeros(0, dim);
     let mut group_input = Matrix::zeros(0, 0);
-    // Streaming-ingest state: the previous flush's staged rows, the
-    // nominal outputs aligned with them (`nominal` below persists across
-    // flushes for this reason), a scratch for checkpoint extension and a
-    // buffer for the new suffix rows. A respawned worker starts fresh —
-    // discarded checkpoints only cost `checkpoint_hits`, never values.
-    let mut prev_xs = Matrix::zeros(0, dim);
-    let mut nominal: Vec<f64> = Vec::new();
-    let mut chunk_ck = BatchWorkspace::default();
-    let mut tail = Matrix::zeros(0, dim);
     let mut batch: Vec<Request> = Vec::with_capacity(cfg.max_batch);
     let mut recovered = initial;
     let mut order: Vec<usize> = Vec::with_capacity(cfg.max_batch);
@@ -1119,14 +1110,16 @@ fn worker_loop(
         // The lock is uncontended (the supervisor only touches it after
         // joining this thread) and held for the whole flush.
         let rows = batch.len();
-        let mut inflight = shared.inflight[w].lock();
+        let mut inflight = shared.inflight[w]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         debug_assert!(inflight.is_empty(), "previous flush fully answered");
         inflight.extend(batch.drain(..).map(Some));
         neurofail_par::failpoint!("serve::flush");
         let compute_start = Instant::now();
 
-        // Phase 3: one shared nominal pass plus per-plan suffix resumes
-        // for the whole flush. Rows are staged grouped by slot (stable
+        // Phase 3: one shared nominal checkpoint plus per-plan suffix
+        // resumes for the whole flush. Rows are staged grouped by slot (stable
         // within a slot), but per-row independence makes the staging
         // order irrelevant to the values served.
         order.clear();
@@ -1139,64 +1132,24 @@ fn worker_loop(
             xs.row_mut(row)
                 .copy_from_slice(&inflight[i].as_ref().expect("staged").input);
         }
-        // Nominal pass for the flush. In streaming-ingest mode, when the
-        // staged rows *start bitwise* with the previous flush's rows —
-        // streaming re-certification traffic resubmitting a probe set
-        // plus new arrivals — the previous checkpoint is extended by only
-        // the new suffix rows (reused outright for an identical flush);
-        // `nominal` already holds the prefix's outputs. The appendable-
-        // checkpoint contract keeps the grown workspace bitwise identical
-        // to a full recompute, so the resumes below cannot tell.
-        let prev_rows = if cfg.streaming_ingest {
-            prev_xs.rows()
-        } else {
-            0
-        };
-        let ck_hit = prev_rows > 0
-            && prev_rows <= rows
-            && prev_xs
-                .data()
-                .iter()
-                .zip(xs.data())
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-        let ck_reused = if ck_hit {
-            if rows > prev_rows {
-                tail.resize(rows - prev_rows, dim);
-                tail.data_mut()
-                    .copy_from_slice(&xs.data()[prev_rows * dim..]);
-                let ys =
-                    net.extend_batch_with(&mut ws_nominal, &mut chunk_ck, &mut NoBatchTap, &tail);
-                nominal.extend_from_slice(&ys);
-                // The grown checkpoint is new content: publish it so
-                // shard-mates and future workers can start from it.
-                publish_checkpoint_to(&shared, &xs, &ws_nominal, &nominal);
-            }
-            (prev_rows * net.depth()) as u64
-        } else {
-            // This worker's own streaming state can't serve the flush —
-            // but the shared store tier might: a shard-mate, a previous
-            // worker incarnation, or an earlier process may have published
-            // this exact `(net, xs)` checkpoint. A verified store hit
-            // rehydrates `ws_nominal` bitwise, so the resumes below cannot
-            // tell it from a fresh pass; any store damage degrades to the
-            // compute path.
-            let store_y = shared.store.as_ref().and_then(|s| {
-                s.lock()
-                    .load_checkpoint_with_id(&net, net_id, &xs, &mut ws_nominal)
-            });
-            nominal.clear();
-            match store_y {
-                Some(ys) => {
-                    nominal.extend(ys);
-                    stats.on_store_hit((rows * net.depth()) as u64);
-                }
-                None => {
-                    nominal.extend(net.forward_batch(&xs, &mut ws_nominal));
-                    publish_checkpoint_to(&shared, &xs, &ws_nominal, &nominal);
-                }
-            }
-            0
-        };
+        // The flush's nominal checkpoint: the worker cache's previous
+        // flush (reused, or extended by the new rows), the store, or a
+        // nominal pass written through — bitwise the same every way
+        // (contracts 9 and 13), so the resumes below cannot tell.
+        let ck = cache.checkpoint_with_id(&net, net_id, &xs);
+        let reused = (ck.source.reused_rows(rows) * depth) as u64;
+        let ck_hit = matches!(
+            ck.source,
+            CheckpointSource::Resident | CheckpointSource::Extended { .. }
+        );
+        let ck_reused = if ck_hit { reused } else { 0 };
+        if ck.source == CheckpointSource::Store {
+            stats.on_store_hit(reused);
+        }
+        if ck.published {
+            stats.on_store_publish();
+        }
+        let (ws_nominal, nominal) = (ck.ws, ck.nominal_y);
         neurofail_par::failpoint!("serve::mid_flush");
         values.clear();
         values.resize(rows, 0.0);
@@ -1220,7 +1173,7 @@ fn worker_loop(
                 entry.compiled().resume_batch_checkpointed(
                     &net,
                     &xs,
-                    &ws_nominal,
+                    ws_nominal,
                     &mut ws_scratch,
                     from,
                 )
@@ -1248,11 +1201,6 @@ fn worker_loop(
             saved += from as u64 * (r1 - r0) as u64;
             r0 = r1;
         }
-        if cfg.streaming_ingest {
-            // Retire the staged rows into `prev_xs` by swap: `xs` is fully
-            // rebuilt at the next flush anyway, so no copy is needed.
-            std::mem::swap(&mut prev_xs, &mut xs);
-        }
         let done = Instant::now();
         let flush_ns = done.duration_since(compute_start).as_nanos() as u64;
         stats.observe_row_cost(flush_ns / rows as u64);
@@ -1279,12 +1227,14 @@ fn worker_loop(
             if let Some(log) = &shared.log {
                 // Inputs are moved out of the requests (responses don't
                 // need them), so logging adds no per-request allocation.
-                log.lock().push(LogEntry {
-                    plan: plans[req.slot].0 .0,
-                    seq: req.seq,
-                    input: std::mem::take(&mut req.input),
-                    value,
-                });
+                log.lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .push(LogEntry {
+                        plan: plans[req.slot].0 .0,
+                        seq: req.seq,
+                        input: std::mem::take(&mut req.input),
+                        value,
+                    });
             }
             // A dropped handle (fire-and-forget caller) is fine: the slot
             // is still fulfilled, it just becomes unreachable.
@@ -1796,9 +1746,9 @@ mod tests {
         server.shutdown();
     }
 
-    /// A 2-layer net + one registered plan, for the streaming tests
+    /// A 2-layer net + one registered plan, for the worker-cache tests
     /// (depth > 1 so checkpoint reuse skips a measurable layer count).
-    fn streaming_registry() -> PlanRegistry {
+    fn two_layer_registry() -> PlanRegistry {
         let net = Arc::new(Mlp::new(
             vec![
                 Layer::Dense(DenseLayer::new(
@@ -1845,12 +1795,11 @@ mod tests {
     }
 
     #[test]
-    fn streaming_ingest_reuses_identical_flushes() {
-        let reg = streaming_registry();
+    fn worker_cache_reuses_identical_flushes() {
+        let reg = two_layer_registry();
         let server = CertServer::start(
             &reg,
             ServeConfig {
-                streaming_ingest: true,
                 max_batch: 4,
                 max_wait: Duration::from_millis(500),
                 ..ServeConfig::default()
@@ -1878,12 +1827,11 @@ mod tests {
     }
 
     #[test]
-    fn streaming_ingest_extends_prefix_sharing_flushes() {
-        let reg = streaming_registry();
+    fn worker_cache_extends_prefix_sharing_flushes() {
+        let reg = two_layer_registry();
         let server = CertServer::start(
             &reg,
             ServeConfig {
-                streaming_ingest: true,
                 max_batch: 6,
                 max_wait: Duration::from_millis(500),
                 ..ServeConfig::default()
@@ -1911,26 +1859,6 @@ mod tests {
         } else {
             assert!(stats.flushes > 2);
         }
-        server.shutdown();
-    }
-
-    #[test]
-    fn streaming_ingest_off_never_reuses() {
-        let reg = streaming_registry();
-        let server = CertServer::start(
-            &reg,
-            ServeConfig {
-                max_batch: 4,
-                max_wait: Duration::from_millis(100),
-                ..ServeConfig::default()
-            },
-        );
-        let probe = [[0.2, 0.7], [-0.4, 0.1], [0.9, 0.9], [0.0, -1.0]];
-        submit_and_wait(&server, &reg, &probe);
-        submit_and_wait(&server, &reg, &probe);
-        let stats = server.stats(PlanId(0)).unwrap();
-        assert_eq!(stats.checkpoint_hits, 0);
-        assert_eq!(stats.checkpoint_rows_reused, 0);
         server.shutdown();
     }
 

@@ -8,9 +8,8 @@
 //! an operational dashboard, not a synchronisation primitive.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
-
-use parking_lot::Mutex;
 
 /// Batch-size histogram buckets: `1, 2, ≤4, ≤8, ≤16, ≤32, ≤64, ≤128, >128`.
 pub const BATCH_BUCKETS: usize = 9;
@@ -173,8 +172,9 @@ impl ShardStats {
     /// are `latencies_ns`; `nominal_rows_saved` is the layer-rows of
     /// faulty-prefix recomputation the suffix engine skipped in the flush,
     /// and `checkpoint_rows_reused` the layer-rows of **nominal**
-    /// recomputation streaming ingest served from the previous flush's
-    /// checkpoint (`checkpoint_hit` marks the flush as having reused one).
+    /// recomputation the worker's checkpoint cache served from the
+    /// previous flush's checkpoint (`checkpoint_hit` marks the flush as
+    /// having reused or extended one).
     pub(crate) fn on_flush(
         &self,
         rows: usize,
@@ -193,7 +193,10 @@ impl ShardStats {
         self.checkpoint_rows_reused
             .fetch_add(checkpoint_rows_reused, Ordering::Relaxed);
         self.hist[bucket_of(rows)].fetch_add(1, Ordering::Relaxed);
-        let mut res = self.latencies.lock();
+        let mut res = self
+            .latencies
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         for &ns in latencies_ns {
             if res.samples.len() < RESERVOIR {
                 res.samples.push(ns);
@@ -212,7 +215,12 @@ impl ShardStats {
         for (out, bucket) in hist.iter_mut().zip(&self.hist) {
             *out = bucket.load(Ordering::Relaxed);
         }
-        let mut samples = self.latencies.lock().samples.clone();
+        let mut samples = self
+            .latencies
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .samples
+            .clone();
         samples.sort_unstable();
         let quantile = |q: f64| -> Duration {
             if samples.is_empty() {
@@ -279,11 +287,10 @@ pub struct ServeStats {
     /// this is the work cross-plan coalescing and suffix resumption
     /// eliminate (0 under fault plans that start at layer 0).
     pub nominal_rows_saved: u64,
-    /// Flushes that reused (or extended) the previous flush's nominal
-    /// checkpoint under [`streaming_ingest`](crate::ServeConfig) — the
-    /// staged rows started bitwise with the previous flush's rows, so
-    /// the nominal pass ran only over the new suffix rows (not at all
-    /// for an identical flush). Always 0 with streaming ingest off.
+    /// Flushes whose nominal checkpoint came from the worker's checkpoint
+    /// cache: the staged rows equal the previous flush's, or start
+    /// bitwise with them, so the nominal pass ran not at all (identical
+    /// flush) or only over the new suffix rows (an extension).
     pub checkpoint_hits: u64,
     /// Layer-rows of **nominal** recomputation those checkpoint hits
     /// skipped: a hit whose reused prefix spans `P` rows through an
@@ -338,8 +345,8 @@ pub struct ServeStats {
     /// [`StoreStats::nominal_rows_saved`](neurofail_inject::StoreStats)
     /// accounting, seen from the serving side).
     pub store_rows_reused: u64,
-    /// Freshly computed flush checkpoints published to the store (what
-    /// warm-starts shard-mates and future workers).
+    /// Freshly computed or extended flush checkpoints written through to
+    /// the store (what warm-starts shard-mates and future workers).
     pub store_publishes: u64,
 }
 

@@ -97,24 +97,6 @@ impl Matrix {
         self.rows += other.rows;
     }
 
-    /// Drop the first `n` rows in place, shifting the remaining rows up —
-    /// the retirement companion to [`Matrix::append_rows`]: together they
-    /// make a matrix a sliding window over a row stream. Surviving rows
-    /// keep their bits and their relative order; the allocation is
-    /// retained.
-    ///
-    /// # Panics
-    /// If `n > self.rows()`.
-    pub fn drop_prefix_rows(&mut self, n: usize) {
-        assert!(
-            n <= self.rows,
-            "drop_prefix_rows: dropping {n} of {} rows",
-            self.rows
-        );
-        self.data.drain(..n * self.cols);
-        self.rows -= n;
-    }
-
     /// Identity matrix of size `n`.
     pub fn identity(n: usize) -> Self {
         Matrix::from_fn(n, n, |r, c| if r == c { 1.0 } else { 0.0 })

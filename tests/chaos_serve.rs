@@ -20,16 +20,18 @@
 
 use std::panic;
 use std::sync::{Arc, Once};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use neurofail::inject::{CheckpointCache, InjectionPlan, PlanId, PlanRegistry};
+use neurofail::inject::{ArtifactStore, CheckpointCache, InjectionPlan, PlanId, PlanRegistry};
 use neurofail::nn::activation::Activation;
 use neurofail::nn::layer::DenseLayer;
 use neurofail::nn::{BatchWorkspace, Layer, Mlp};
 use neurofail::par::failpoint::{install, ChaosAction, ChaosSchedule, FiredEvent};
 use neurofail::par::seed::splitmix64;
 use neurofail::par::Parallelism;
-use neurofail::serve::{CertServer, RequestError, RetryPolicy, ServeConfig, SubmitError};
+use neurofail::serve::{
+    share_store, CertServer, RequestError, ResponseHandle, RetryPolicy, ServeConfig, SubmitError,
+};
 use neurofail::tensor::Matrix;
 
 /// Silence the default panic-hook backtrace spam from injected panics:
@@ -56,7 +58,8 @@ fn quiet_chaos_panics() {
 
 /// A fixed 2-layer net with two registered plans (crash at layer 0 and at
 /// layer 1) sharing it — small enough that chaos runs are fast, deep
-/// enough that suffix resumption and streaming checkpoints are exercised.
+/// enough that suffix resumption and worker-cache checkpoints are
+/// exercised.
 fn chaos_registry() -> PlanRegistry {
     let net = Arc::new(Mlp::new(
         vec![
@@ -287,13 +290,14 @@ fn poison_plan_is_quarantined_and_the_shard_survives() {
 }
 
 // ---------------------------------------------------------------------------
-// Streaming ingest across a respawn (satellite: streaming-after-respawn).
+// Streaming traffic across a respawn.
 // ---------------------------------------------------------------------------
 
-/// Kill the streaming worker *between* chunk flushes: the respawned worker
-/// starts with a fresh workspace (the streaming checkpoint is deliberately
-/// discarded), so served values are bitwise identical to a no-chaos run —
-/// only the checkpoint-reuse statistics differ.
+/// Kill the worker *between* two identical probe flushes: the respawned
+/// worker starts with an empty checkpoint cache (the previous flush's
+/// checkpoint is deliberately discarded), so served values are bitwise
+/// identical to a no-chaos run — only the checkpoint-reuse statistics
+/// differ.
 /// One shard (plans coalesced), so hit 1 of the process-global
 /// `serve::recv` counter is its worker's return between the rounds.
 #[test]
@@ -304,7 +308,6 @@ fn streaming_worker_killed_between_chunks_rebuilds_bitwise() {
         max_batch: 4,
         max_wait: Duration::from_millis(500),
         workers: Parallelism::Sequential,
-        streaming_ingest: true,
         coalesce_plans: true,
         ..ServeConfig::default()
     };
@@ -315,7 +318,7 @@ fn streaming_worker_killed_between_chunks_rebuilds_bitwise() {
         let server = CertServer::start(&reg, cfg);
         let mut bits = Vec::new();
         // Two identical probe rounds: streaming traffic that an intact
-        // worker answers from its checkpoint the second time.
+        // worker answers from its cached checkpoint the second time.
         for _ in 0..2 {
             let handles: Vec<_> = probe
                 .iter()
@@ -494,8 +497,8 @@ fn deadline_expires_typed_behind_a_stalled_worker() {
 // ---------------------------------------------------------------------------
 
 /// The `cache::insert` failpoint fires before the checkpoint cache
-/// mutates anything beyond its miss counter, so an injected panic unwinds
-/// cleanly: the next identical call simply recomputes and succeeds.
+/// mutates any entry, so an injected panic unwinds cleanly: the next
+/// identical call simply recomputes and succeeds.
 #[test]
 fn cache_insert_panic_unwinds_cleanly_and_retries() {
     quiet_chaos_panics();
@@ -519,6 +522,110 @@ fn cache_insert_panic_unwinds_cleanly_and_retries() {
     let _ = cache.checkpoint(&net, &xs);
     let stats = cache.stats();
     assert_eq!(stats.hits, 1, "retry populated the cache");
+}
+
+/// A served value, or `None` if `h` is still unanswered after `limit`.
+fn answered_within(h: &ResponseHandle, limit: Duration) -> Option<f64> {
+    let start = Instant::now();
+    loop {
+        if let Some(resolution) = h.try_wait() {
+            return Some(resolution.expect("answered, not failed").value);
+        }
+        if start.elapsed() > limit {
+            return None;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// A worker panics inside its checkpoint cache's write-through, mid-
+/// publish, with the shared store's lock held: the lock is poisoned. Every
+/// lock of the shared store recovers poison, so the shard's other worker
+/// and the respawned one go on loading and publishing — exactly one
+/// restart, every request answered bitwise, every flush's checkpoint
+/// published. The torn publish's temp file is swept when the store is
+/// reopened, and a second server over the directory warm-starts from it.
+/// (A lock that unwrapped the poison would crash-loop the shard, and the
+/// requests would never be answered.)
+#[test]
+fn panic_under_the_shared_store_lock_is_recovered() {
+    quiet_chaos_panics();
+    let reg = chaos_registry();
+    let dir = std::env::temp_dir().join(format!("nf-chaos-store-lock-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = ServeConfig {
+        // One distinct row per flush: every flush misses and publishes.
+        max_batch: 1,
+        max_wait: Duration::ZERO,
+        workers: Parallelism::Threads(2),
+        coalesce_plans: true,
+        ..ServeConfig::default()
+    };
+    let traffic: Vec<(PlanId, [f64; 2])> = (0..12)
+        .map(|i| {
+            (
+                PlanId(i % 2),
+                [0.15 * i as f64 - 0.8, 0.35 - 0.05 * i as f64],
+            )
+        })
+        .collect();
+    let guard =
+        install(ChaosSchedule::new(23).on_hit("store::publish_temp", ChaosAction::Panic, 0));
+
+    let server =
+        CertServer::start_with_store(&reg, cfg, share_store(ArtifactStore::open(&dir).unwrap()));
+    assert_eq!(server.shard_count(), 1);
+    let handles: Vec<_> = traffic
+        .iter()
+        .map(|(plan, x)| server.submit(*plan, x.to_vec()).unwrap())
+        .collect();
+    for ((plan, x), h) in traffic.iter().zip(&handles) {
+        let Some(v) = answered_within(h, Duration::from_secs(20)) else {
+            // A crash-looping shard never drains: leak it, so the failure
+            // reports instead of hanging in the server's drop.
+            std::mem::forget(server);
+            panic!("a request went unanswered: the shard is crash-looping on a poisoned lock");
+        };
+        assert_bitwise(&reg, *plan, x, v, "panic under the store lock");
+    }
+    let stats = server.shutdown().remove(0);
+    assert_eq!(guard.fired("store::publish_temp"), 1);
+    assert_eq!(stats.worker_restarts, 1, "the one injected panic");
+    assert_eq!(stats.rows_requeued, 1, "the panicked flush's row");
+    assert_eq!(
+        stats.store_publishes,
+        traffic.len() as u64,
+        "every flush's checkpoint published, the torn one on its retry"
+    );
+
+    // The torn publish left its temp file; reopening sweeps it.
+    let temps = || {
+        std::fs::read_dir(&dir)
+            .unwrap()
+            .filter(|e| {
+                e.as_ref()
+                    .unwrap()
+                    .file_name()
+                    .to_string_lossy()
+                    .starts_with(".tmp-")
+            })
+            .count()
+    };
+    assert_eq!(temps(), 1, "the torn publish's temp file");
+    let store = ArtifactStore::open(&dir).unwrap();
+    assert_eq!(temps(), 0, "reopening sweeps the torn publish");
+
+    // A second server over the directory answers from the store.
+    let warm = CertServer::start_with_store(&reg, cfg, share_store(store));
+    for (plan, x) in &traffic {
+        let v = warm.query(*plan, x).unwrap();
+        assert_bitwise(&reg, *plan, x, v, "warm restart");
+    }
+    let warm_stats = warm.shutdown().remove(0);
+    assert_eq!(warm_stats.store_hits, traffic.len() as u64);
+    assert_eq!(warm_stats.store_publishes, 0);
+    drop(guard);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------------------
@@ -549,7 +656,6 @@ fn fifty_seeded_schedules_never_lose_duplicate_or_corrupt_a_request() {
             },
             record_log: true,
             coalesce_plans: r(3) % 2 == 0,
-            streaming_ingest: r(4) % 3 == 0,
             max_plan_strikes: 2 + (r(5) % 2) as u32,
             ..ServeConfig::default()
         };

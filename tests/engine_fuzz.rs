@@ -9,8 +9,10 @@
 //!    reference implementation the others are stated against);
 //! 3. **multi-plan suffix** `output_error_many` (PR 4's shared nominal
 //!    checkpoint + per-plan resume);
-//! 4. **streaming extend** — the input set pushed in chunks through
-//!    `StreamingEvaluator` (appendable checkpoint + per-chunk resumes).
+//! 4. **cache extension** — the input set looked up prefix by prefix
+//!    through one `CheckpointCache`, each lookup growing the previous
+//!    prefix's checkpoint by the new chunk (appendable checkpoint +
+//!    resumes over the grown set).
 //!
 //! One proptest generator drives random networks, random fault plans
 //! (every kind: crash / stuck-at / Byzantine neurons, crash / Byzantine
@@ -40,7 +42,7 @@ use neurofail::data::rng::rng;
 use neurofail::inject::plan::{
     InjectionPlan, NeuronFault, NeuronSite, SynapseFault, SynapseSite, SynapseTarget,
 };
-use neurofail::inject::{ByzantineStrategy, CompiledPlan, StreamingEvaluator};
+use neurofail::inject::{ByzantineStrategy, CheckpointCache, CompiledPlan};
 use neurofail::nn::activation::Activation;
 use neurofail::nn::builder::MlpBuilder;
 use neurofail::nn::{BatchWorkspace, Mlp, Workspace};
@@ -187,34 +189,38 @@ proptest! {
             }
         }
 
-        // Engine 4: streaming extend, the input set arriving in chunks.
-        let mut stream = StreamingEvaluator::new(Arc::clone(&net), plans.clone());
-        let mut streamed: Vec<Vec<f64>> = vec![Vec::new(); plans.len()];
-        let mut start = 0;
-        while start < batch {
-            let rows = chunk_size.min(batch - start);
-            let chunk = Matrix::from_fn(rows, 3, |r, c| xs.get(start + r, c));
-            for (p, errs) in stream.push_chunk(&chunk).into_iter().enumerate() {
-                streamed[p].extend(errs);
+        // Engine 4: cache extension, the input set arriving in chunks
+        // and looked up prefix by prefix through one cache. Each prefix's
+        // values are the whole-batch reference's leading rows (per-row
+        // independence), so every lookup is held to them.
+        let mut cache = CheckpointCache::new(1);
+        let mut scratch = BatchWorkspace::default();
+        let mut end = 0;
+        while end < batch {
+            end += chunk_size.min(batch - end);
+            let prefix = Matrix::from_fn(end, 3, |r, c| xs.get(r, c));
+            let got = cache.output_error_many(&net, &prefix, &plans, &mut scratch);
+            for (pi, (g, w)) in got.iter().zip(&whole).enumerate() {
+                prop_assert_eq!(g.len(), end);
+                for (b, (gv, wv)) in g.iter().zip(w).enumerate() {
+                    prop_assert_eq!(
+                        gv.to_bits(), wv.to_bits(),
+                        "cache extension vs whole-batch: prefix {}, plan {}, row {}", end, pi, b
+                    );
+                }
             }
-            start += rows;
         }
-        for (pi, (s, w)) in streamed.iter().zip(&whole).enumerate() {
-            prop_assert_eq!(s.len(), w.len());
-            for (b, (sv, wv)) in s.iter().zip(w).enumerate() {
-                prop_assert_eq!(
-                    sv.to_bits(), wv.to_bits(),
-                    "streaming vs whole-batch: plan {}, row {}", pi, b
-                );
-            }
-        }
+        prop_assert_eq!(
+            cache.stats().extensions,
+            batch.div_ceil(chunk_size).saturating_sub(1) as u64
+        );
 
         // Registry routes: the same plans registered in a registry, run
         // through `eval_many` (suffix engine) and `eval_many_cached` cold
         // (checkpoint miss) then warm (checkpoint hit), each held bitwise
         // to the whole-batch reference.
         {
-            use neurofail::inject::{CheckpointCache, PlanRegistry};
+            use neurofail::inject::PlanRegistry;
             let mut registry = PlanRegistry::new();
             let ids: Vec<_> = plans
                 .iter()

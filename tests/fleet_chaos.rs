@@ -120,7 +120,6 @@ fn chaotic_config(seed: u64) -> FleetConfig {
     FleetConfig {
         serve: ServeConfig {
             record_log: true,
-            streaming_ingest: true,
             ..ServeConfig::default()
         },
         // Tight heartbeat so stalled answer pumps are detected within
@@ -250,8 +249,8 @@ fn seeded_chaos_loses_nothing_duplicates_nothing_corrupts_nothing() {
     );
 }
 
-/// A killed worker's warm streaming state (prefix checkpoints built by
-/// `streaming_ingest`) degrades only to recomputation: re-served values
+/// A killed worker's warm streaming state (the checkpoints its serve
+/// workers' caches hold) degrades only to recomputation: re-served values
 /// after the kill are bitwise identical; the only observable difference
 /// is statistical (respawn/requeue counters, rebuilt servers).
 #[test]
@@ -261,12 +260,11 @@ fn killed_worker_streaming_state_degrades_only_in_stats() {
     let mix = request_mix(0x57A7E, 16, plans.len());
     let expect = single_process_reference(&net, &plans, &mix);
 
-    // Single worker, streaming ingest on, *no* self-armed chaos: the
-    // only fault is the SIGKILL, so the delta is attributable to it.
+    // Single worker, *no* self-armed chaos: the only fault is the
+    // SIGKILL, so the delta is attributable to it.
     let cfg = FleetConfig {
         serve: ServeConfig {
             record_log: true,
-            streaming_ingest: true,
             ..ServeConfig::default()
         },
         ..FleetConfig::default()

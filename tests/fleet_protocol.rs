@@ -44,7 +44,6 @@ fn corpus() -> Vec<Message> {
             max_wait_nanos: 100_000,
             queue_capacity: 1024,
             record_log: true,
-            streaming_ingest: true,
             max_plan_strikes: 3,
         }),
         Message::Register {
@@ -288,7 +287,6 @@ fn live_worker_survives_garbage_with_typed_reset() {
             max_wait_nanos: 100_000,
             queue_capacity: 1024,
             record_log: true,
-            streaming_ingest: false,
             max_plan_strikes: 3,
         }),
     )

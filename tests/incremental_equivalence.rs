@@ -5,16 +5,13 @@
 //!   **bitwise** identical — outputs and every per-layer tap — to one
 //!   filled by a single full-batch pass, for every chunking of the input
 //!   set (0/1/odd chunk sizes included);
-//! * `StreamingEvaluator` disturbances are bitwise per-plan
-//!   `output_error_batch` over the accumulated input set, across random
-//!   nets, every fault kind, every chunking and every `Parallelism`
-//!   policy;
+//! * a stream looked up prefix by prefix through one `CheckpointCache`
+//!   (each lookup extending the previous prefix's entry) evaluates
+//!   bitwise equal to per-plan `output_error_batch` over that prefix,
+//!   across random nets, every fault kind, every chunking and every
+//!   `Parallelism` policy;
 //! * `CheckpointCache` hits return values bitwise equal to the cold
-//!   path, and LRU eviction never changes a value — only cost;
-//! * sliding-window streaming (`with_row_budget`) retires the oldest
-//!   rows without changing any chunk result, and extending across an
-//!   eviction boundary agrees bitwise with a from-scratch recompute
-//!   over the retained window.
+//!   path, and LRU eviction never changes a value — only cost.
 
 use std::sync::Arc;
 
@@ -22,7 +19,7 @@ use neurofail::data::rng::rng;
 use neurofail::inject::plan::{
     InjectionPlan, NeuronFault, NeuronSite, SynapseFault, SynapseSite, SynapseTarget,
 };
-use neurofail::inject::{ByzantineStrategy, CheckpointCache, CompiledPlan, StreamingEvaluator};
+use neurofail::inject::{ByzantineStrategy, CheckpointCache, CompiledPlan};
 use neurofail::nn::activation::Activation;
 use neurofail::nn::builder::MlpBuilder;
 use neurofail::nn::{BatchWorkspace, Mlp, NoBatchTap};
@@ -81,6 +78,19 @@ fn chunkings(rows: usize) -> Vec<Vec<usize>> {
 
 fn chunk_of(xs: &Matrix, start: usize, rows: usize) -> Matrix {
     Matrix::from_fn(rows, xs.cols(), |r, c| xs.get(start + r, c))
+}
+
+/// The growing prefixes a chunked stream presents: after each chunk, the
+/// rows seen so far.
+fn prefixes(xs: &Matrix, shape: &[usize]) -> Vec<Matrix> {
+    let mut end = 0;
+    shape
+        .iter()
+        .map(|rows| {
+            end += rows;
+            chunk_of(xs, 0, end)
+        })
+        .collect()
 }
 
 /// A plan family touching every fault kind and every depth of `net`.
@@ -179,8 +189,10 @@ proptest! {
         }
     }
 
-    /// Streaming evaluation is bitwise per-plan batch evaluation over the
-    /// accumulated input set, for every chunking and every fault kind.
+    /// A stream looked up prefix by prefix through one cache — each
+    /// lookup extending the entry the previous prefix left — evaluates
+    /// bitwise equal to per-plan batch evaluation over each prefix, for
+    /// every chunking and every fault kind.
     #[test]
     fn streaming_is_bitwise_per_plan_batches(
         seed in 0u64..1000,
@@ -196,43 +208,33 @@ proptest! {
             .collect();
         let xs = random_inputs(seed, rows, 3);
         let mut ws = BatchWorkspace::default();
-        let direct: Vec<Vec<f64>> = plans
-            .iter()
-            .map(|p| p.output_error_batch(&net, &xs, &mut ws))
-            .collect();
         for (shape_idx, shape) in chunkings(rows).into_iter().enumerate() {
-            let mut stream = StreamingEvaluator::new(Arc::clone(&net), plans.clone());
-            let mut streamed: Vec<Vec<f64>> = vec![Vec::new(); plans.len()];
-            let mut start = 0;
-            for rows_in_chunk in shape {
-                let chunk = chunk_of(&xs, start, rows_in_chunk);
-                for (p, errs) in stream.push_chunk(&chunk).into_iter().enumerate() {
-                    streamed[p].extend(errs);
-                }
-                start += rows_in_chunk;
-            }
-            for (pi, (s, d)) in streamed.iter().zip(&direct).enumerate() {
-                prop_assert_eq!(s.len(), d.len());
-                for (b, (sv, dv)) in s.iter().zip(d).enumerate() {
-                    prop_assert_eq!(
-                        sv.to_bits(), dv.to_bits(),
-                        "chunking {}, plan {}, row {}", shape_idx, pi, b
-                    );
+            let mut cache = CheckpointCache::new(1);
+            let mut scratch = BatchWorkspace::default();
+            for prefix in prefixes(&xs, &shape) {
+                let got = cache.output_error_many(&net, &prefix, &plans, &mut scratch);
+                for (pi, (g, plan)) in got.iter().zip(&plans).enumerate() {
+                    let direct = plan.output_error_batch(&net, &prefix, &mut ws);
+                    prop_assert_eq!(g.len(), direct.len());
+                    for (b, (gv, dv)) in g.iter().zip(&direct).enumerate() {
+                        prop_assert_eq!(
+                            gv.to_bits(), dv.to_bits(),
+                            "chunking {}, prefix {}, plan {}, row {}",
+                            shape_idx, prefix.rows(), pi, b
+                        );
+                    }
                 }
             }
-            // The late-subscriber path over the whole stream agrees too.
-            for (pi, plan) in plans.iter().enumerate() {
-                let back = stream.eval_plan_over_stream(plan);
-                for (b, (sv, dv)) in back.iter().zip(&direct[pi]).enumerate() {
-                    prop_assert_eq!(sv.to_bits(), dv.to_bits(), "backfill plan {}, row {}", pi, b);
-                }
-            }
+            // Every non-empty chunk after the first non-empty one grew
+            // the entry instead of missing.
+            let grown = shape.iter().filter(|&&r| r > 0).count().saturating_sub(1);
+            prop_assert_eq!(cache.stats().extensions, grown as u64, "chunking {}", shape_idx);
         }
     }
 
-    /// Streaming evaluation is deterministic under parallel use: one
-    /// evaluator per worker under any `Parallelism` policy reproduces the
-    /// sequential stream bitwise.
+    /// Cache extension is deterministic under parallel use: one cache per
+    /// worker under any `Parallelism` policy reproduces the sequential
+    /// stream bitwise.
     #[test]
     fn streaming_is_bitwise_across_parallelism_policies(
         seed in 0u64..500,
@@ -246,17 +248,18 @@ proptest! {
             .map(|p| CompiledPlan::compile(p, &net, 1.0).unwrap())
             .collect();
         let xs = random_inputs(seed, rows, 3);
-        let split = rows / 2;
-        let chunks = [chunk_of(&xs, 0, split), chunk_of(&xs, split, rows - split)];
-        let reference: Vec<Vec<Vec<f64>>> = {
-            let mut stream = StreamingEvaluator::new(Arc::clone(&net), plans.clone());
-            chunks.iter().map(|c| stream.push_chunk(c)).collect()
+        let stream = prefixes(&xs, &[rows / 2, rows - rows / 2]);
+        let run = || -> Vec<Vec<Vec<f64>>> {
+            let mut cache = CheckpointCache::new(1);
+            let mut scratch = BatchWorkspace::default();
+            stream
+                .iter()
+                .map(|prefix| cache.output_error_many(&net, prefix, &plans, &mut scratch))
+                .collect()
         };
+        let reference = run();
         for policy in [Parallelism::Sequential, Parallelism::Threads(2), Parallelism::Threads(5)] {
-            let workers: Vec<Vec<Vec<Vec<f64>>>> = parallel_map(policy, 4, |_| {
-                let mut stream = StreamingEvaluator::new(Arc::clone(&net), plans.clone());
-                chunks.iter().map(|c| stream.push_chunk(c)).collect()
-            });
+            let workers: Vec<Vec<Vec<Vec<f64>>>> = parallel_map(policy, 4, |_| run());
             for (wi, per_worker) in workers.iter().enumerate() {
                 prop_assert_eq!(per_worker.len(), reference.len());
                 for (ci, (p, r)) in per_worker.iter().zip(&reference).enumerate() {
@@ -264,7 +267,7 @@ proptest! {
                         for (b, (a, c)) in pp.iter().zip(rr).enumerate() {
                             prop_assert_eq!(
                                 a.to_bits(), c.to_bits(),
-                                "policy {:?}, worker {}, chunk {}, plan {}, row {}",
+                                "policy {:?}, worker {}, prefix {}, plan {}, row {}",
                                 policy, wi, ci, pi, b
                             );
                         }
@@ -347,100 +350,25 @@ fn cache_accounting_counts_skipped_nominal_passes() {
     assert!(stats.bytes > 0);
 }
 
-/// Streaming accounting: chunked arrival of `n` chunks over an L-layer
-/// net never recomputes held rows — the nominal work saved equals
-/// (held rows at each arrival) × L.
+/// Streaming accounting: a stream of `n` chunks looked up prefix by
+/// prefix over an L-layer net misses once, then extends: the nominal work
+/// saved equals (held rows at each arrival) × L, and no lookup is a hit.
 #[test]
 fn streaming_accounting_matches_the_cost_model() {
     let net = Arc::new(build_net(91, 4, 5, true, false));
     let plans = vec![CompiledPlan::compile(&InjectionPlan::none(), &net, 1.0).unwrap()];
-    let mut stream = StreamingEvaluator::new(Arc::clone(&net), plans);
-    for i in 0..5u64 {
-        let chunk = random_inputs(91 + i, 2, 3);
-        let _ = stream.push_chunk(&chunk);
+    let xs = random_inputs(91, 10, 3);
+    let mut cache = CheckpointCache::new(1);
+    let mut scratch = BatchWorkspace::default();
+    for prefix in prefixes(&xs, &[2; 5]) {
+        let _ = cache.output_error_many(&net, &prefix, &plans, &mut scratch);
     }
-    let stats = stream.stats();
-    assert_eq!((stats.chunks, stats.rows), (5, 10));
+    let stats = cache.stats();
+    assert_eq!(
+        (stats.misses, stats.extensions, stats.hits, stats.store_hits),
+        (1, 4, 0, 0)
+    );
     // Held rows at each arrival: 0, 2, 4, 6, 8 → 20 rows × depth 4.
     assert_eq!(stats.nominal_rows_saved, 20 * 4);
-    // The empty plan resumes at depth: every chunk row skips its whole
-    // faulty prefix (depth layers × 10 rows).
-    assert_eq!(stats.prefix_rows_saved, 4 * 10);
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Sliding-window streaming (`with_row_budget`): retiring the oldest
-    /// rows across eviction boundaries never changes a chunk result —
-    /// every chunk's disturbances stay bitwise equal to the direct
-    /// full-batch rows — and extending over the boundary agrees bitwise
-    /// with a from-scratch recompute over exactly the retained window.
-    /// Retirement is visible only in the statistics.
-    #[test]
-    fn sliding_window_extend_is_bitwise_recompute(
-        seed in 0u64..1000,
-        depth in 1usize..4,
-        width in 3usize..8,
-        rows in 1usize..14,
-        budget in 1usize..6,
-        tanh in proptest::bool::ANY,
-    ) {
-        let net = Arc::new(build_net(seed, depth, width, tanh, true));
-        let plans: Vec<CompiledPlan> = plan_family(&net, seed)
-            .iter()
-            .map(|p| CompiledPlan::compile(p, &net, 1.0).unwrap())
-            .collect();
-        let xs = random_inputs(seed, rows, 3);
-        let mut ws = BatchWorkspace::default();
-        let direct: Vec<Vec<f64>> = plans
-            .iter()
-            .map(|p| p.output_error_batch(&net, &xs, &mut ws))
-            .collect();
-        for (shape_idx, shape) in chunkings(rows).into_iter().enumerate() {
-            let mut capped = StreamingEvaluator::new(Arc::clone(&net), plans.clone())
-                .with_row_budget(budget);
-            let mut streamed: Vec<Vec<f64>> = vec![Vec::new(); plans.len()];
-            let mut start = 0;
-            for rows_in_chunk in shape {
-                let chunk = chunk_of(&xs, start, rows_in_chunk);
-                for (p, errs) in capped.push_chunk(&chunk).into_iter().enumerate() {
-                    streamed[p].extend(errs);
-                }
-                start += rows_in_chunk;
-                // The retained window honours the budget after every push.
-                prop_assert!(capped.rows() <= budget, "chunking {}", shape_idx);
-            }
-            // Chunk results are unchanged by eviction: bitwise the
-            // direct full-batch rows, exactly as without a budget.
-            for (pi, (s, d)) in streamed.iter().zip(&direct).enumerate() {
-                prop_assert_eq!(s.len(), d.len());
-                for (b, (sv, dv)) in s.iter().zip(d).enumerate() {
-                    prop_assert_eq!(
-                        sv.to_bits(), dv.to_bits(),
-                        "chunking {}, plan {}, row {}", shape_idx, pi, b
-                    );
-                }
-            }
-            // Extend-vs-recompute across the eviction boundary: the
-            // retained window evaluates bitwise equal to a from-scratch
-            // batch over exactly those rows.
-            let kept = rows.min(budget);
-            let window = chunk_of(&xs, rows - kept, kept);
-            let mut wws = BatchWorkspace::default();
-            for (pi, plan) in plans.iter().enumerate() {
-                let recomputed = plan.output_error_batch(&net, &window, &mut wws);
-                let extended = capped.eval_plan_over_stream(plan);
-                prop_assert_eq!(extended.len(), recomputed.len());
-                for (b, (ev, rv)) in extended.iter().zip(&recomputed).enumerate() {
-                    prop_assert_eq!(
-                        ev.to_bits(), rv.to_bits(),
-                        "chunking {}, plan {}, window row {}", shape_idx, pi, b
-                    );
-                }
-            }
-            // Retirement shows up only in the stats.
-            prop_assert_eq!(capped.stats().rows_retired, (rows - kept) as u64);
-        }
-    }
+    assert_eq!((stats.entries, stats.evictions), (1, 0));
 }

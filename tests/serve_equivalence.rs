@@ -94,7 +94,6 @@ proptest! {
         policy_idx in 0usize..3,
         clients in 1usize..5,
         coalesce_plans in proptest::bool::ANY,
-        streaming_ingest in proptest::bool::ANY,
     ) {
         let net = Arc::new(build_net(seed, depth, width));
         let registry = build_registry(Arc::clone(&net), seed);
@@ -107,11 +106,11 @@ proptest! {
             // All three plans share the net: coalescing folds them onto
             // one shared-net shard whose flushes mix plans — the suffix
             // engine must stay bitwise-invisible there too.
+            // Every worker's checkpoint cache must be bitwise-invisible
+            // too: arbitrary traffic rarely repeats or prefix-matches a
+            // flush, but when it does the reused checkpoint must not
+            // change a single served bit.
             coalesce_plans,
-            // Streaming ingest must also be bitwise-invisible: arbitrary
-            // traffic rarely prefix-matches, but when it does the reused
-            // checkpoint must not change a single served bit.
-            streaming_ingest,
             ..ServeConfig::default()
         };
         let server = CertServer::start(&registry, cfg);
@@ -186,7 +185,6 @@ proptest! {
             workers: [Parallelism::Sequential, Parallelism::Threads(2), Parallelism::Threads(4)][policy_idx],
             record_log: false,
             coalesce_plans: false,
-            streaming_ingest: false,
             ..ServeConfig::default()
         });
         let mix = request_mix(seed, 60, registry.len());
@@ -209,9 +207,9 @@ proptest! {
     }
 }
 
-/// The persistent store tier closes the streaming-ingest lifecycle gap:
-/// per-worker prefix state dies with its worker, but flushes published to
-/// the shared [`ArtifactStore`] outlive it. A restarted server opening the
+/// The persistent store tier closes the worker cache's lifecycle gap: a
+/// worker's checkpoint cache dies with its worker, but flushes written
+/// through to the shared [`ArtifactStore`] outlive it. A restarted server opening the
 /// same directory serves the whole repeated query set without a single
 /// nominal forward pass — and without one bit of difference.
 #[test]
@@ -232,7 +230,6 @@ fn restarted_server_warm_starts_from_shared_store() {
         // All three plans share the net, so one shard (and one checkpoint
         // per input) serves them all.
         coalesce_plans: true,
-        streaming_ingest: true,
         ..ServeConfig::default()
     };
     let mix = request_mix(41, 18, registry.len());
