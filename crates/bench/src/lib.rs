@@ -8,8 +8,8 @@
 //!
 //! Run everything with `cargo run --release -p neurofail-bench --bin
 //! run_all`, or individual experiments via their binaries (`fig3_...`,
-//! `thm1_...`, …). Criterion performance benchmarks for the engines
-//! themselves live in `benches/`.
+//! `thm1_...`, …). The engines' performance is measured by the separate
+//! `perfbench/` harness (see `BENCHMARK.json`), not by this crate.
 
 #![warn(missing_docs)]
 

@@ -344,11 +344,6 @@ impl CheckpointCache {
             .map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).stats())
     }
 
-    /// The entry capacity this cache evicts against.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Current counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
@@ -361,11 +356,6 @@ impl CheckpointCache {
             bytes: self.entries.iter().map(|e| e.bytes).sum(),
             nominal_rows_saved: self.nominal_rows_saved,
         }
-    }
-
-    /// Drop every resident checkpoint (counters are kept).
-    pub fn clear(&mut self) {
-        self.entries.clear();
     }
 
     /// Whether a checkpoint for exactly `(net, xs)` is resident in memory
@@ -709,8 +699,6 @@ mod tests {
         assert_eq!(stats.entries, 1);
         assert_eq!(stats.hits, 0, "capacity 1 + alternation = no reuse");
         assert_eq!(stats.evictions, 5);
-        cache.clear();
-        assert_eq!(cache.stats().entries, 0);
     }
 
     #[test]

@@ -55,46 +55,18 @@ pub struct MultiPlanEvaluator<'a> {
 }
 
 impl<'a> MultiPlanEvaluator<'a> {
-    /// Build a checkpoint over `xs` (rows = inputs) through `net`,
-    /// allocating fresh workspaces.
+    /// Build a checkpoint over `xs` (rows = inputs) through `net`.
     pub fn new(net: &'a Mlp, xs: &'a Matrix) -> Self {
-        Self::with_workspaces(
-            net,
-            xs,
-            BatchWorkspace::default(),
-            BatchWorkspace::default(),
-        )
-    }
-
-    /// As [`MultiPlanEvaluator::new`], reusing caller-provided workspaces
-    /// (allocation-free once they have grown — the shape long-lived loops
-    /// like the serving engine's flush loop want). Recover them with
-    /// [`into_workspaces`](MultiPlanEvaluator::into_workspaces).
-    pub fn with_workspaces(
-        net: &'a Mlp,
-        xs: &'a Matrix,
-        mut nominal_ws: BatchWorkspace,
-        scratch: BatchWorkspace,
-    ) -> Self {
+        let mut nominal_ws = BatchWorkspace::default();
         let nominal_y = net.forward_batch(xs, &mut nominal_ws);
         MultiPlanEvaluator {
             net,
             xs,
             nominal_ws,
             nominal_y,
-            scratch,
+            scratch: BatchWorkspace::default(),
             prefix_rows_saved: 0,
         }
-    }
-
-    /// The nominal outputs `F_neu(x_b)`, row-aligned with `xs`.
-    pub fn nominal_outputs(&self) -> &[f64] {
-        &self.nominal_y
-    }
-
-    /// Borrow the nominal checkpoint workspace (read-only by contract).
-    pub fn nominal_workspace(&self) -> &BatchWorkspace {
-        &self.nominal_ws
     }
 
     /// Disturbances `|F_neu(x_b) − F_fail(x_b)|` of `plan`, resumed at
@@ -118,11 +90,6 @@ impl<'a> MultiPlanEvaluator<'a> {
     /// them inside its full faulty pass).
     pub fn prefix_rows_saved(&self) -> u64 {
         self.prefix_rows_saved
-    }
-
-    /// Recover the workspaces for reuse by the next evaluator.
-    pub fn into_workspaces(self) -> (BatchWorkspace, BatchWorkspace) {
-        (self.nominal_ws, self.scratch)
     }
 }
 
@@ -290,9 +257,6 @@ mod tests {
         let early = CompiledPlan::compile(&InjectionPlan::crash([(0, 0)]), &net, 1.0).unwrap();
         let _ = eval.output_error(&early);
         assert_eq!(eval.prefix_rows_saved(), 2 * 4); // early plan saves nothing
-        let (nominal_ws, scratch) = eval.into_workspaces();
-        assert_eq!(nominal_ws.batch(), 4);
-        assert_eq!(scratch.batch(), 4);
     }
 
     #[test]
