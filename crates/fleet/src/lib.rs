@@ -19,8 +19,8 @@
 //!   ([`run_worker_from_env`]), serving every frame through the same
 //!   engine a single-process deployment uses, so fleet answers are
 //!   *protocol-transported*, not recomputed differently.
-//! * [`router`] — plans admitted **once** at the router (`inject::ir`
-//!   typed admission; structure hash = home shard), hot plans' input
+//! * [`router`] — plans admitted **once** at the router (one typed
+//!   `CompiledPlan::compile`; structure hash = home shard), hot plans' input
 //!   space partitioned round-robin across the fleet, campaigns sharded
 //!   by trial range with a deterministic trial-order merge, and PR 7's
 //!   supervision over sockets: heartbeats, per-connection in-flight

@@ -598,18 +598,28 @@ impl Message {
                 worker: r.get_u64()?,
                 gen: r.get_u64()?,
             },
-            K_CONFIGURE => Message::Configure(WireServeConfig {
-                max_batch: r.get_u64()?,
-                max_wait_nanos: r.get_u64()?,
-                queue_capacity: r.get_u64()?,
-                record_log: get_bool(&mut r)?,
-                max_plan_strikes: r.get_u64()?,
-            }),
+            K_CONFIGURE => {
+                let cfg = WireServeConfig {
+                    max_batch: r.get_u64()?,
+                    max_wait_nanos: r.get_u64()?,
+                    queue_capacity: r.get_u64()?,
+                    record_log: get_bool(&mut r)?,
+                    max_plan_strikes: r.get_u64()?,
+                };
+                // The embedded server's `ServeConfig::validate` rules.
+                if cfg.max_batch == 0 || cfg.queue_capacity == 0 {
+                    return Err(ProtocolError::Malformed("zero max_batch or queue_capacity"));
+                }
+                if !(1..=u64::from(u32::MAX)).contains(&cfg.max_plan_strikes) {
+                    return Err(ProtocolError::Malformed("max_plan_strikes out of range"));
+                }
+                Message::Configure(cfg)
+            }
             K_REGISTER => Message::Register {
                 plan: r.get_u64()?,
                 net: r.get_bytes()?.to_vec(),
                 plan_bytes: r.get_bytes()?.to_vec(),
-                capacity: r.get_f64()?,
+                capacity: get_capacity(&mut r)?,
             },
             K_QUERY => Message::Query {
                 seq: r.get_u64()?,
@@ -630,7 +640,7 @@ impl Message {
                     trials: get_usize(&mut r)?,
                     inputs_per_trial: get_usize(&mut r)?,
                     seed: r.get_u64()?,
-                    capacity: r.get_f64()?,
+                    capacity: get_capacity(&mut r)?,
                 };
                 let first = r.get_u64()?;
                 let count = r.get_u64()?;
@@ -742,6 +752,17 @@ fn get_bool(r: &mut ByteReader<'_>) -> Result<bool, ProtocolError> {
         0 => Ok(false),
         1 => Ok(true),
         _ => Err(ProtocolError::Malformed("bad bool word")),
+    }
+}
+
+/// A synaptic capacity under `CompiledPlan::compile`'s rule: `> 0.0`
+/// (so +∞ is legal, and NaN is not).
+fn get_capacity(r: &mut ByteReader<'_>) -> Result<f64, ProtocolError> {
+    let capacity = r.get_f64()?;
+    if capacity > 0.0 {
+        Ok(capacity)
+    } else {
+        Err(ProtocolError::Malformed("capacity not positive"))
     }
 }
 

@@ -4,10 +4,10 @@
 //!
 //! The router is PR 7's supervision ported across the process boundary:
 //!
-//! * **Admission once** — plans are admitted at the router through the
-//!   same `inject::ir` pipeline a single process uses (typed
-//!   [`PlanError`] rejection before anything touches a socket), and the
-//!   resulting structure hash picks the plan's *home* worker. Workers
+//! * **Admission once** — plans are admitted at the router by one
+//!   `CompiledPlan::compile`, as in a single process (typed [`PlanError`]
+//!   rejection before anything touches a socket), and the compiled
+//!   plan's structure hash picks the plan's *home* worker. Workers
 //!   receive only already-admitted plans, lazily, the first time traffic
 //!   routes to them.
 //! * **In-flight tables** — every routed query sits in its connection's
@@ -35,15 +35,16 @@ use std::io;
 use std::path::PathBuf;
 use std::process::Child;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use neurofail_inject::{
-    merge_trials, Admission, CampaignConfig, CampaignResult, InjectionPlan, PlanError, TrialKind,
-    TrialResult,
+    merge_trials, run_campaign_trials, CampaignConfig, CampaignResult, CompiledPlan, InjectionPlan,
+    PlanError, PlanIr, TrialKind, TrialResult,
 };
 use neurofail_nn::{net_to_bytes, Mlp, NetId};
 use neurofail_par::oneshot::Oneshot;
+use neurofail_par::Parallelism;
 use neurofail_serve::ServeConfig;
 
 use crate::proto::{
@@ -1147,7 +1148,6 @@ fn refusal(c: u64, retry_after_nanos: u64) -> FleetError {
 /// [module docs](self) for the supervision contract.
 pub struct FleetRouter {
     tx: mpsc::Sender<Event>,
-    admission: Mutex<Admission>,
     addr: String,
     n_workers: usize,
     supervisor: Option<std::thread::JoinHandle<()>>,
@@ -1234,7 +1234,6 @@ impl FleetRouter {
 
         Ok(FleetRouter {
             tx,
-            admission: Mutex::new(Admission::new()),
             addr,
             n_workers,
             supervisor: Some(handle),
@@ -1260,16 +1259,12 @@ impl FleetRouter {
         capacity: f64,
         hot: bool,
     ) -> Result<FleetPlanId, FleetError> {
-        // Admission happens exactly once, at the router: typed rejection
-        // here, and the IR's structure hash becomes the routing fact. The
-        // network's identity is built once and its bytes are the frame's.
+        // Admission happens exactly once, at the router: one compile with
+        // typed rejection, whose structure hash becomes the routing fact.
+        // The network's identity is built once and its bytes are the frame's.
+        let compiled = CompiledPlan::compile(plan, net, capacity).map_err(FleetError::Admission)?;
         let id = NetId::of(net);
-        let ir = self
-            .admission
-            .lock()
-            .expect("admission mutex")
-            .admit(net, &id, plan, capacity, None)
-            .map_err(FleetError::Admission)?;
+        let ir = PlanIr::new(&id, compiled);
         let slot = Oneshot::new();
         self.tx
             .send(Event::Cmd(Cmd::Register {
@@ -1337,6 +1332,10 @@ impl FleetRouter {
     /// deterministic merge completes. Bitwise equal to a single-process
     /// [`run_campaign`](neurofail_inject::run_campaign) with the same
     /// arguments (contract 15).
+    ///
+    /// # Panics
+    /// Where a local `run_campaign` panics — a capacity that is not
+    /// positive, counts that do not fit the net — before any shard is sent.
     pub fn run_campaign(
         &self,
         net: &Mlp,
@@ -1344,6 +1343,16 @@ impl FleetRouter {
         kind: TrialKind,
         cfg: &CampaignConfig,
     ) -> Result<CampaignResult, FleetError> {
+        if cfg.trials > 0 {
+            // Sample and compile trial 0's plan over no inputs: the
+            // preconditions panic here, in the caller, instead of in
+            // every worker a shard reaches.
+            let probe = CampaignConfig {
+                inputs_per_trial: 0,
+                ..*cfg
+            };
+            run_campaign_trials(net, counts, kind, &probe, Parallelism::Sequential, 0, 1);
+        }
         let slot = Oneshot::new();
         self.tx
             .send(Event::Cmd(Cmd::Campaign {

@@ -29,7 +29,7 @@ use std::collections::HashMap;
 use std::io::Write;
 use std::path::PathBuf;
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use neurofail_inject::{ArtifactStore, CampaignConfig, PlanRegistry, TrialKind};
@@ -208,7 +208,8 @@ pub fn run_worker(
                     max_wait: Duration::from_nanos(wire.max_wait_nanos),
                     queue_capacity: wire.queue_capacity as usize,
                     record_log: wire.record_log,
-                    max_plan_strikes: wire.max_plan_strikes as u32,
+                    max_plan_strikes: u32::try_from(wire.max_plan_strikes)
+                        .expect("Message::decode bounds max_plan_strikes"),
                     ..ServeConfig::default()
                 };
             }
@@ -225,16 +226,10 @@ pub fn run_worker(
                     // rebuild; retire the old one so its log and stats
                     // survive into this process's totals.
                     state.retire_server();
-                    let id = match &state.store {
-                        Some(store) => {
-                            let mut guard = store.lock().unwrap_or_else(PoisonError::into_inner);
-                            state
-                                .registry
-                                .register_with_store(net, &decoded, capacity, &mut guard)
-                        }
-                        None => state.registry.register(net, &decoded, capacity),
-                    }
-                    .map_err(|_| ProtocolError::Malformed("plan failed admission"))?;
+                    let id = state
+                        .registry
+                        .register(net, &decoded, capacity)
+                        .map_err(|_| ProtocolError::Malformed("plan failed admission"))?;
                     state.plan_map.insert(plan, id);
                 }
                 send(&writer, &Message::Registered { plan })?;

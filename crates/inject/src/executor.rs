@@ -17,7 +17,7 @@
 
 use neurofail_nn::{BatchTap, BatchWorkspace, Mlp, Tap, Workspace};
 use neurofail_par::seed::splitmix64;
-use neurofail_tensor::io::{ByteReader, ByteWriter, DecodeError};
+use neurofail_tensor::io::ByteWriter;
 use neurofail_tensor::Matrix;
 
 use crate::plan::{ByzantineStrategy, InjectionPlan, NeuronFault, SynapseFault, SynapseTarget};
@@ -412,322 +412,27 @@ impl CompiledPlan {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Structural plumbing for the admission pipeline (`crate::ir`).
-//
-// A compiled plan factors into a value-independent *body* — site positions,
-// fault kinds, resolved crash weights, capacity — and the fault *values*
-// that parameterize it (stuck-at levels, Byzantine strategies/deviations).
-// Plans equal up to fault value share one body; the helpers below live here
-// because they walk `CompiledPlan`'s private site tables.
-// ---------------------------------------------------------------------------
-
-/// Fault values extracted from a compiled plan in canonical site order
-/// (layers ascending; neuron sites sorted by neuron; hidden synapse sites in
-/// plan order per layer; output sites last). [`CompiledPlan::merge_values`]
-/// consumes the same order, so a value vector re-attaches to any
-/// structurally equal body.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub(crate) struct PlanValues {
-    /// `StuckAt` levels, in neuron-site order.
-    stuck: Vec<f64>,
-    /// Byzantine neuron strategies, in neuron-site order.
-    byzantine: Vec<ByzantineStrategy>,
-    /// Byzantine synapse deviations (hidden then output), in site order.
-    deltas: Vec<f64>,
-}
-
-impl PlanValues {
-    /// Deterministic encoding — hashed into the per-plan value identity.
-    pub(crate) fn encode(&self, w: &mut ByteWriter) {
-        w.put_u64(self.stuck.len() as u64);
-        w.put_f64_slice(&self.stuck);
-        w.put_u64(self.byzantine.len() as u64);
-        for s in &self.byzantine {
-            match s {
-                ByzantineStrategy::MaxPositive => w.put_u64(0),
-                ByzantineStrategy::MaxNegative => w.put_u64(1),
-                ByzantineStrategy::OpposeNominal => w.put_u64(2),
-                ByzantineStrategy::Random { seed } => {
-                    w.put_u64(3);
-                    w.put_u64(*seed);
-                }
-            }
-        }
-        w.put_u64(self.deltas.len() as u64);
-        w.put_f64_slice(&self.deltas);
-    }
-
-    pub(crate) fn push_neuron(&mut self, fault: &NeuronFault) {
-        match fault {
-            NeuronFault::Crash => {}
-            NeuronFault::StuckAt(v) => self.stuck.push(*v),
-            NeuronFault::Byzantine(s) => self.byzantine.push(*s),
-        }
-    }
-
-    pub(crate) fn push_synapse(&mut self, fault: &SynapseFault) {
-        if let SynapseFault::Byzantine(d) = fault {
-            self.deltas.push(*d);
-        }
-    }
-}
-
-/// Canonical value placeholders a body stores in place of real fault values.
-const CANON_STUCK: NeuronFault = NeuronFault::StuckAt(0.0);
-const CANON_BYZ: NeuronFault = NeuronFault::Byzantine(ByzantineStrategy::MaxPositive);
-
 impl CompiledPlan {
-    /// Split into `(canonical body, extracted values)`: fault values are
-    /// replaced by fixed placeholders so structurally equal plans produce
-    /// byte-identical bodies. `merge_values(body, values)` inverts this.
-    pub(crate) fn split_values(&self) -> (CompiledPlan, PlanValues) {
-        let mut body = self.clone();
-        let mut values = PlanValues::default();
-        for sites in &mut body.neuron_sites {
-            for (_, fault) in sites.iter_mut() {
-                match *fault {
-                    NeuronFault::Crash => {}
-                    NeuronFault::StuckAt(v) => {
-                        values.stuck.push(v);
-                        *fault = CANON_STUCK;
-                    }
-                    NeuronFault::Byzantine(s) => {
-                        values.byzantine.push(s);
-                        *fault = CANON_BYZ;
-                    }
-                }
-            }
-        }
-        let mut strip_syn = |fault: &mut ResolvedSynapseFault| {
-            if let ResolvedSynapseFault::Byzantine(d) = *fault {
-                values.deltas.push(d);
-                *fault = ResolvedSynapseFault::Byzantine(0.0);
-            }
-        };
-        for sites in &mut body.synapse_sites {
-            for (_, _, fault) in sites.iter_mut() {
-                strip_syn(fault);
-            }
-        }
-        for (_, fault) in &mut body.output_sites {
-            strip_syn(fault);
-        }
-        (body, values)
-    }
-
-    /// Re-attach `values` to a clone of `body` — the dedup-hit and
-    /// warm-admission materialization path, skipping validation and weight
-    /// resolution entirely.
-    ///
-    /// # Panics
-    /// If the value counts do not match the body's value slots (the caller
-    /// proves structural equality by byte comparison before calling).
-    pub(crate) fn merge_values(body: &CompiledPlan, values: &PlanValues) -> CompiledPlan {
-        let mut plan = body.clone();
-        let mut stuck = values.stuck.iter();
-        let mut byz = values.byzantine.iter();
-        let mut deltas = values.deltas.iter();
-        for sites in &mut plan.neuron_sites {
-            for (_, fault) in sites.iter_mut() {
-                match fault {
-                    NeuronFault::Crash => {}
-                    NeuronFault::StuckAt(v) => {
-                        *v = *stuck.next().expect("stuck-at value count mismatch");
-                    }
-                    NeuronFault::Byzantine(s) => {
-                        *s = *byz.next().expect("byzantine strategy count mismatch");
-                    }
-                }
-            }
-        }
-        {
-            let mut fill_syn = |fault: &mut ResolvedSynapseFault| {
-                if let ResolvedSynapseFault::Byzantine(d) = fault {
-                    *d = *deltas.next().expect("synapse delta count mismatch");
-                }
-            };
-            for sites in &mut plan.synapse_sites {
-                for (_, _, fault) in sites.iter_mut() {
-                    fill_syn(fault);
-                }
-            }
-            for (_, fault) in &mut plan.output_sites {
-                fill_syn(fault);
-            }
-        }
-        assert!(
-            stuck.next().is_none() && byz.next().is_none() && deltas.next().is_none(),
-            "merge_values: leftover values after site walk"
-        );
-        plan
-    }
-
-    /// Deterministic full encoding (sites, kinds, resolved weights, values,
-    /// capacity) — the compiled-plan store payload. `decode_body` inverts
-    /// it with full validation.
-    pub(crate) fn encode_body(&self, w: &mut ByteWriter) {
-        w.put_u64(self.neuron_sites.len() as u64);
-        for sites in &self.neuron_sites {
-            w.put_u64(sites.len() as u64);
-            for &(neuron, fault) in sites {
-                w.put_u64(neuron as u64);
-                match fault {
-                    NeuronFault::Crash => w.put_u64(0),
-                    NeuronFault::StuckAt(v) => {
-                        w.put_u64(1);
-                        w.put_f64(v);
-                    }
-                    NeuronFault::Byzantine(s) => {
-                        w.put_u64(2);
-                        match s {
-                            ByzantineStrategy::MaxPositive => w.put_u64(0),
-                            ByzantineStrategy::MaxNegative => w.put_u64(1),
-                            ByzantineStrategy::OpposeNominal => w.put_u64(2),
-                            ByzantineStrategy::Random { seed } => {
-                                w.put_u64(3);
-                                w.put_u64(seed);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        w.put_u64(self.synapse_sites.len() as u64);
-        for sites in &self.synapse_sites {
-            w.put_u64(sites.len() as u64);
-            for &(to, from, fault) in sites {
-                w.put_u64(to as u64);
-                w.put_u64(from as u64);
-                encode_syn(w, fault);
-            }
-        }
-        w.put_u64(self.output_sites.len() as u64);
-        for &(from, fault) in &self.output_sites {
-            w.put_u64(from as u64);
-            encode_syn(w, fault);
-        }
-        w.put_f64(self.capacity);
-    }
-
-    /// Decode a body previously written by [`CompiledPlan::encode_body`].
-    /// Structural validation against a concrete network is the caller's job
-    /// ([`CompiledPlan::verify_against`]); this only enforces wire-format
-    /// sanity.
-    pub(crate) fn decode_body(r: &mut ByteReader<'_>) -> Result<CompiledPlan, DecodeError> {
-        let depth = r.get_len(8)?;
-        let mut neuron_sites = Vec::with_capacity(depth);
-        for _ in 0..depth {
-            let n = r.get_len(16)?;
-            let mut sites = Vec::with_capacity(n);
-            for _ in 0..n {
-                let neuron = r.get_u64()? as usize;
-                let fault = match r.get_u64()? {
-                    0 => NeuronFault::Crash,
-                    1 => NeuronFault::StuckAt(r.get_f64()?),
-                    2 => NeuronFault::Byzantine(match r.get_u64()? {
-                        0 => ByzantineStrategy::MaxPositive,
-                        1 => ByzantineStrategy::MaxNegative,
-                        2 => ByzantineStrategy::OpposeNominal,
-                        3 => ByzantineStrategy::Random { seed: r.get_u64()? },
-                        _ => return Err(DecodeError("unknown byzantine strategy tag")),
-                    }),
-                    _ => return Err(DecodeError("unknown neuron fault tag")),
-                };
-                sites.push((neuron, fault));
-            }
-            neuron_sites.push(sites);
-        }
-        let sdepth = r.get_len(8)?;
-        if sdepth != depth {
-            return Err(DecodeError("synapse table depth mismatch"));
-        }
-        let mut synapse_sites = Vec::with_capacity(depth);
-        for _ in 0..depth {
-            let n = r.get_len(24)?;
-            let mut sites = Vec::with_capacity(n);
-            for _ in 0..n {
-                let to = r.get_u64()? as usize;
-                let from = r.get_u64()? as usize;
-                sites.push((to, from, decode_syn(r)?));
-            }
-            synapse_sites.push(sites);
-        }
-        let n_out = r.get_len(16)?;
-        let mut output_sites = Vec::with_capacity(n_out);
-        for _ in 0..n_out {
-            let from = r.get_u64()? as usize;
-            output_sites.push((from, decode_syn(r)?));
-        }
-        let capacity = r.get_f64()?;
-        if !(capacity.is_finite() && capacity > 0.0) {
-            return Err(DecodeError("capacity out of range"));
-        }
-        Ok(CompiledPlan {
-            neuron_sites,
-            synapse_sites,
-            output_sites,
-            capacity,
-        })
-    }
-
-    /// Re-validate a decoded body against `net`: every site must be in
-    /// range, neuron sites sorted and duplicate-free, and every resolved
-    /// crash weight **bitwise** equal to the network's current weight. A
-    /// store record that fails this degrades to a miss (hashes index,
-    /// decode proves — exactly the checkpoint store's contract).
-    pub(crate) fn verify_against(&self, net: &Mlp) -> bool {
-        let widths = net.widths();
-        let depth = widths.len();
-        if self.neuron_sites.len() != depth || self.synapse_sites.len() != depth {
-            return false;
-        }
-        for (layer, sites) in self.neuron_sites.iter().enumerate() {
-            for w in sites.windows(2) {
-                if w[0].0 >= w[1].0 {
-                    return false;
-                }
-            }
-            if sites.iter().any(|&(n, _)| n >= widths[layer]) {
-                return false;
-            }
-        }
-        for (layer, sites) in self.synapse_sites.iter().enumerate() {
-            let fan_in = if layer == 0 {
-                net.input_dim()
-            } else {
-                widths[layer - 1]
-            };
-            for &(to, from, fault) in sites {
-                if to >= widths[layer] || from >= fan_in {
-                    return false;
-                }
-                if let ResolvedSynapseFault::Crash { weight } = fault {
-                    if weight.to_bits() != net.layers()[layer].weight(to, from).to_bits() {
-                        return false;
-                    }
-                }
-            }
-        }
-        for &(from, fault) in &self.output_sites {
-            if from >= widths[depth - 1] {
-                return false;
-            }
-            if let ResolvedSynapseFault::Crash { weight } = fault {
-                if weight.to_bits() != net.output_weights()[from].to_bits() {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
-    /// The value-independent structure encoding of this compiled plan —
-    /// byte-identical to [`crate::ir::plan_structure_bytes`] over the
-    /// source plan, which is what makes plan-level admission keys and
-    /// compiled-level bodies interchangeable as dedup identities.
+    /// The canonical value-independent structure encoding: site positions,
+    /// fault kinds and capacity, without fault values or resolved weights.
+    /// Its hash is a plan's [`structure_hash`](crate::PlanIr::structure_hash).
+    /// Written into a buffer of its exact size: every registration builds
+    /// one, and the freed steps of a growing buffer were enough to make
+    /// glibc trim and re-fault the heap across repeated set-ups.
     pub(crate) fn structure_bytes(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
+        let words = self
+            .neuron_sites
+            .iter()
+            .map(|s| 1 + 2 * s.len())
+            .sum::<usize>()
+            + self
+                .synapse_sites
+                .iter()
+                .map(|s| 1 + 3 * s.len())
+                .sum::<usize>()
+            + 2 * self.output_sites.len()
+            + 3;
+        let mut w = ByteWriter::with_capacity(8 * words);
         w.put_u64(self.neuron_sites.len() as u64);
         for sites in &self.neuron_sites {
             w.put_u64(sites.len() as u64);
@@ -760,30 +465,39 @@ impl CompiledPlan {
             });
         }
         w.put_u64(self.capacity.to_bits());
+        debug_assert_eq!(w.len(), 8 * words);
         w.into_bytes()
     }
-}
 
-fn encode_syn(w: &mut ByteWriter, fault: ResolvedSynapseFault) {
-    match fault {
-        ResolvedSynapseFault::Crash { weight } => {
-            w.put_u64(0);
-            w.put_f64(weight);
+    /// The fault values — stuck-at levels, Byzantine strategies and
+    /// deviations — in site order. The structure bytes fix which sites
+    /// carry a value, so together the two encode the plan bitwise (crash
+    /// weights follow from the network).
+    pub(crate) fn value_bytes(&self) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        for &(_, fault) in self.neuron_sites.iter().flatten() {
+            match fault {
+                NeuronFault::Crash => {}
+                NeuronFault::StuckAt(v) => w.put_f64(v),
+                NeuronFault::Byzantine(s) => match s {
+                    ByzantineStrategy::MaxPositive => w.put_u64(0),
+                    ByzantineStrategy::MaxNegative => w.put_u64(1),
+                    ByzantineStrategy::OpposeNominal => w.put_u64(2),
+                    ByzantineStrategy::Random { seed } => {
+                        w.put_u64(3);
+                        w.put_u64(seed);
+                    }
+                },
+            }
         }
-        ResolvedSynapseFault::Byzantine(d) => {
-            w.put_u64(1);
-            w.put_f64(d);
+        let hidden = self.synapse_sites.iter().flatten().map(|&(_, _, f)| f);
+        let output = self.output_sites.iter().map(|&(_, f)| f);
+        for fault in hidden.chain(output) {
+            if let ResolvedSynapseFault::Byzantine(d) = fault {
+                w.put_f64(d);
+            }
         }
-    }
-}
-
-fn decode_syn(r: &mut ByteReader<'_>) -> Result<ResolvedSynapseFault, DecodeError> {
-    match r.get_u64()? {
-        0 => Ok(ResolvedSynapseFault::Crash {
-            weight: r.get_f64()?,
-        }),
-        1 => Ok(ResolvedSynapseFault::Byzantine(r.get_f64()?)),
-        _ => Err(DecodeError("unknown synapse fault tag")),
+        w.into_bytes()
     }
 }
 

@@ -36,10 +36,9 @@
 //!   checkpoints here.
 //! * [`store`] — the cache's persistent disk tier, shareable across
 //!   caches ([`store::SharedArtifactStore`]) and processes.
-//! * [`ir`] — the **admission pipeline** (validate → normalize → compile
-//!   → cache: typed rejection, dedup of plans equal up to fault value onto
-//!   one compiled body, warm-started admission from the [`store`]; both
-//!   take the caller's `NetId` and never hash a network themselves).
+//! * [`ir`] — admission: one [`CompiledPlan::compile`] per registered
+//!   plan (typed rejection), plus the plan's identities and first faulty
+//!   layer, built from the caller's `NetId` without hashing a network.
 //! * [`planner`] — engine names and counters kept for the benchmark
 //!   harness; no call path consults them.
 
@@ -68,7 +67,7 @@ pub use campaign::{
     TrialResult, WorstCase,
 };
 pub use executor::{CompiledPlan, PlanError};
-pub use ir::{Admission, AdmissionStats, PlanIr};
+pub use ir::{AdmissionStats, PlanIr};
 pub use multi::{output_error_many, MultiPlanEvaluator};
 /// Compute-backend selection, re-exported so injection campaigns can pin
 /// or scope the kernel backend without depending on the tensor crate

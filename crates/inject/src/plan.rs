@@ -123,10 +123,7 @@ impl InjectionPlan {
         }
     }
 
-    /// Plan sticking the given `(layer, neuron)` sites at fixed values —
-    /// the canonical admission-dedup workload: every plan in a stuck-at
-    /// sweep over one site shares a compiled body, only the value slots
-    /// differ.
+    /// Plan sticking the given `(layer, neuron)` sites at fixed values.
     pub fn stuck_at(sites: impl IntoIterator<Item = ((usize, usize), f64)>) -> Self {
         InjectionPlan {
             neurons: sites

@@ -3,12 +3,11 @@
 //! Campaigns compile a plan, use it, and drop it. Long-lived consumers —
 //! the serving engine (`neurofail-serve`), plan-sharded multi-process
 //! campaigns — instead hold a *set* of `(network, admitted plan)` pairs
-//! and route queries to them by id. [`PlanRegistry`] is that set, and
-//! since PR 9 its front door is the admission pipeline ([`crate::ir`]):
-//! each [`register`](PlanRegistry::register) validates the plan once with
-//! typed errors, dedups plans equal up to fault value onto one compiled
-//! body, and returns a dense [`PlanId`], so downstream engines can shard
-//! work per plan with plain indexing and no hashing on the hot path.
+//! and route queries to them by id. [`PlanRegistry`] is that set: each
+//! [`register`](PlanRegistry::register) compiles the plan once (typed
+//! errors, see [`crate::ir`]) and returns a dense [`PlanId`], so
+//! downstream engines can shard work per plan with plain indexing and no
+//! hashing on the hot path.
 //!
 //! Networks are held behind [`Arc`] so one trained network can back many
 //! registered plans (the common case: one net, a family of fault
@@ -27,10 +26,9 @@ use neurofail_nn::{BatchWorkspace, Mlp, NetId};
 use neurofail_tensor::Matrix;
 
 use crate::executor::{CompiledPlan, PlanError};
-use crate::ir::{Admission, AdmissionStats, PlanIr};
+use crate::ir::{AdmissionStats, PlanIr};
 use crate::plan::InjectionPlan;
 use crate::planner::Planner;
-use crate::store::ArtifactStore;
 
 /// Dense identifier of a plan within a [`PlanRegistry`] (and the shard
 /// index downstream engines key their per-plan workers by).
@@ -64,13 +62,13 @@ impl RegisteredPlan {
         &self.net_id
     }
 
-    /// The admitted intermediate representation: content identities,
-    /// shared body, precomputed first faulty layer.
+    /// The admitted plan: compiled executable, content identities,
+    /// precomputed first faulty layer.
     pub fn ir(&self) -> &PlanIr {
         &self.ir
     }
 
-    /// The compiled plan (the IR's materialized executable).
+    /// The compiled plan.
     pub fn compiled(&self) -> &CompiledPlan {
         self.ir.compiled()
     }
@@ -145,7 +143,7 @@ pub struct PlanRegistry {
     /// Per network family, its first plan: the `Arc` family-grouped
     /// evaluations run against, and the `NetId` its plans share.
     families: Vec<usize>,
-    admission: Admission,
+    admission: AdmissionStats,
     planner: Arc<Planner>,
 }
 
@@ -155,56 +153,36 @@ impl PlanRegistry {
         Self::default()
     }
 
-    /// Admit `plan` against `net` under capacity `capacity` and register
-    /// it (validate → normalize → compile → cache; see [`crate::ir`]).
+    /// Admit `plan` against `net` under capacity `capacity` — one
+    /// [`CompiledPlan::compile`] — and register it (see [`crate::ir`]).
     ///
     /// # Errors
     /// [`PlanError`] if the plan does not validate against the network.
+    ///
+    /// # Panics
+    /// If `capacity` is not positive (as [`CompiledPlan::compile`]).
     pub fn register(
         &mut self,
         net: Arc<Mlp>,
         plan: &InjectionPlan,
         capacity: f64,
     ) -> Result<PlanId, PlanError> {
-        self.register_via(net, |adm, net, id| adm.admit(net, id, plan, capacity, None))
-    }
-
-    /// [`register`](Self::register) with an [`ArtifactStore`] consulted
-    /// for warm admission (a verified compiled-plan record skips the
-    /// compile) and fed newly compiled bodies.
-    ///
-    /// # Errors
-    /// As [`register`](Self::register).
-    pub fn register_with_store(
-        &mut self,
-        net: Arc<Mlp>,
-        plan: &InjectionPlan,
-        capacity: f64,
-        store: &mut ArtifactStore,
-    ) -> Result<PlanId, PlanError> {
-        self.register_via(net, |adm, net, id| {
-            adm.admit(net, id, plan, capacity, Some(store))
-        })
+        match CompiledPlan::compile(plan, &net, capacity) {
+            Ok(compiled) => Ok(self.register_compiled(net, compiled)),
+            Err(e) => {
+                self.admission.rejected += 1;
+                Err(e)
+            }
+        }
     }
 
     /// Register an already-compiled plan (caller vouches it was compiled
-    /// against `net`). Runs the admission pipeline's normalize/dedup half
-    /// so even pre-compiled plans share bodies.
+    /// against `net`), joining or creating its network family.
     pub fn register_compiled(&mut self, net: Arc<Mlp>, compiled: CompiledPlan) -> PlanId {
-        let registered =
-            self.register_via(net, |adm, _, id| Ok(adm.admit_compiled(id, compiled, None)));
-        registered.expect("compiled admission is infallible")
-    }
-
-    /// Admit through `admit` with `net`'s identity, then append the plan
-    /// (creating its family only once admission succeeded).
-    fn register_via(
-        &mut self,
-        net: Arc<Mlp>,
-        admit: impl FnOnce(&mut Admission, &Arc<Mlp>, &NetId) -> Result<PlanIr, PlanError>,
-    ) -> Result<PlanId, PlanError> {
         let (family, net_id) = self.family_of(&net);
-        let ir = admit(&mut self.admission, &net, &net_id)?;
+        let ir = PlanIr::new(&net_id, compiled);
+        self.admission.admitted += 1;
+        self.admission.bodies_compiled += 1;
         if family == self.families.len() {
             self.families.push(self.entries.len());
         }
@@ -214,7 +192,7 @@ impl PlanRegistry {
             ir,
             family,
         });
-        Ok(PlanId(self.entries.len() - 1))
+        PlanId(self.entries.len() - 1)
     }
 
     /// `net`'s family (a new one is `families.len()`) and identity, sharing
@@ -252,9 +230,9 @@ impl PlanRegistry {
         self.families.len()
     }
 
-    /// Admission pipeline counters (dedup hits, bodies compiled, …).
+    /// Admission counters (plans admitted, rejected, compiled).
     pub fn admission_stats(&self) -> AdmissionStats {
-        self.admission.stats()
+        self.admission
     }
 
     /// Counters of this registry's batch evaluations (identical-plan
@@ -565,12 +543,11 @@ mod tests {
         let plan = InjectionPlan::crash([(0, 1)]);
         let a = reg.register(Arc::clone(&net), &plan, 1.0).unwrap();
         let b = reg.register(Arc::clone(&net), &plan, 1.0).unwrap();
-        assert!(reg
-            .get(a)
-            .unwrap()
-            .ir()
-            .shares_body_with(reg.get(b).unwrap().ir()));
-        assert_eq!(reg.admission_stats().dedup_hits, 1);
+        assert_eq!(
+            reg.get(a).unwrap().ir().plan_key(),
+            reg.get(b).unwrap().ir().plan_key()
+        );
+        assert_eq!(reg.admission_stats().bodies_compiled, 2);
         let xs = Matrix::from_vec(2, 2, vec![0.3, 0.6, -0.1, 0.8]);
         let many = reg.eval_many(&[a, b], &xs);
         for (x, y) in many[0].iter().zip(&many[1]) {

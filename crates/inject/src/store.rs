@@ -22,18 +22,17 @@
 //!      8     8  meta word: schema version (byte 0), record kind (byte 1),
 //!               6 reserved bytes for future record kinds' use
 //!     16     8  net content hash   (key: NetId::hash, little-endian)
-//!     24     8  aux content hash   (input-set hash / name hash)
+//!     24     8  aux content hash   (input-set hash)
 //!     32     8  payload length in bytes
 //!     40     8  payload checksum   (io::checksum64: FNV-1a/SplitMix64)
 //!     48     …  payload            (little-endian 64-bit words)
 //! ```
 //!
-//! Record kinds: `0` nominal checkpoint, `1` trained network, `2`
-//! compiled plan — the admission pipeline's value-independent plan
-//! bodies, keyed by `(net hash, structure-bytes hash)` so a restarted
-//! process warm-starts admission (see [`crate::ir`]). The header carries
-//! kind + reserved bytes precisely so new artifact kinds need no format
-//! bump. A checkpoint payload embeds the **full serialized network**
+//! The store holds one record kind, `0` nominal checkpoint. The header
+//! carries kind + reserved bytes precisely so new artifact kinds need no
+//! format bump; kinds 1 and 2 (trained networks, compiled plans) were
+//! written by older builds, are never read, and age out by LRU. A
+//! checkpoint payload embeds the **full serialized network**
 //! ([`NetId::bytes`]) and the full input set alongside the per-layer
 //! taps, because the store inherits the cache's core rule: *hashes are
 //! the index, never the proof*. A hit is admitted only after the header
@@ -82,27 +81,21 @@
 //! contract 13.
 
 use std::fs::{self, File};
-use std::io;
+use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-use neurofail_nn::{net_from_bytes, net_to_bytes, BatchWorkspace, Mlp, NetId};
+use neurofail_nn::{BatchWorkspace, Mlp, NetId};
 use neurofail_tensor::io::{checksum64, ByteReader, ByteWriter, DecodeError, MappedFile};
 use neurofail_tensor::Matrix;
 
 use crate::cache::input_set_hash;
-use crate::executor::CompiledPlan;
 
 /// Store format version carried in every record and index header.
 pub const STORE_FORMAT_VERSION: u8 = 1;
 
 /// Record kind: a nominal checkpoint (`BatchWorkspace` taps + outputs).
 pub const KIND_CHECKPOINT: u8 = 0;
-/// Record kind: a trained network stored under a name.
-pub const KIND_TRAINED_NET: u8 = 1;
-/// Record kind: a compiled plan body (value-independent structure with
-/// resolved crash weights), written by the admission pipeline.
-pub const KIND_COMPILED_PLAN: u8 = 2;
 
 const MAGIC: u64 = u64::from_le_bytes(*b"NFART001");
 const INDEX_MAGIC: u64 = u64::from_le_bytes(*b"NFIDX001");
@@ -342,76 +335,6 @@ impl ArtifactStore {
         self.publish_record(KIND_CHECKPOINT, id.hash(), aux_hash, &w.into_bytes())
     }
 
-    /// Store a trained network under `name` (kind [`KIND_TRAINED_NET`];
-    /// the aux hash is the checksum of the name). Returns `Ok(false)` if
-    /// a record with this name already exists.
-    pub fn store_net(&mut self, name: &str, net: &Mlp) -> io::Result<bool> {
-        let mut w = ByteWriter::new();
-        w.put_str(name);
-        w.put_bytes(&net_to_bytes(net));
-        let payload = w.into_bytes();
-        self.publish_record(KIND_TRAINED_NET, 0, checksum64(name.as_bytes()), &payload)
-    }
-
-    /// Load the trained network stored under `name`, verifying checksum,
-    /// stored name, and a full validating decode. Damage degrades to
-    /// `None` exactly like checkpoint records.
-    pub fn load_net(&mut self, name: &str) -> Option<Mlp> {
-        self.load_record(KIND_TRAINED_NET, 0, checksum64(name.as_bytes()), |r| {
-            if r.get_str()? != name {
-                return Err(DecodeError("stored name differs"));
-            }
-            net_from_bytes(r.get_bytes()?)
-        })
-    }
-
-    /// Publish a compiled plan body under `(net_hash, structure bytes)`
-    /// — kind [`KIND_COMPILED_PLAN`], aux hash = checksum of the
-    /// canonical structure bytes. The payload stores the structure bytes
-    /// themselves (hashes index, bytes prove) followed by the encoded
-    /// body. Returns `Ok(false)` if the record already exists.
-    pub(crate) fn store_compiled_plan(
-        &mut self,
-        net_hash: u64,
-        structure: &[u8],
-        body: &CompiledPlan,
-    ) -> io::Result<bool> {
-        let mut w = ByteWriter::new();
-        w.put_bytes(structure);
-        body.encode_body(&mut w);
-        self.publish_record(
-            KIND_COMPILED_PLAN,
-            net_hash,
-            checksum64(structure),
-            &w.into_bytes(),
-        )
-    }
-
-    /// Load the compiled plan body stored under `(net, structure bytes)`,
-    /// `id == NetId::of(net)`, verifying checksum, stored structure bytes,
-    /// a full validating decode, and finally a bitwise re-validation of
-    /// every site and resolved crash weight against the live `net`
-    /// ([`CompiledPlan::verify_against`]). Damage — or a record compiled
-    /// against a hash-colliding different network — degrades to `None`
-    /// exactly like checkpoint records (contract 13).
-    pub(crate) fn load_compiled_plan(
-        &mut self,
-        net: &Mlp,
-        id: &NetId,
-        structure: &[u8],
-    ) -> Option<CompiledPlan> {
-        self.load_record(KIND_COMPILED_PLAN, id.hash(), checksum64(structure), |r| {
-            if r.get_bytes()? != structure {
-                return Err(DecodeError("stored structure differs"));
-            }
-            let body = CompiledPlan::decode_body(r)?;
-            if !body.verify_against(net) {
-                return Err(DecodeError("stored body fails net verification"));
-            }
-            Ok(body)
-        })
-    }
-
     /// Persist the index (sizes + recency) now. Called automatically on
     /// every publish and eviction; recency-only updates are persisted
     /// lazily (here and on drop), since losing them costs eviction
@@ -493,13 +416,16 @@ impl ArtifactStore {
         header.put_u64(checksum64(payload));
         debug_assert_eq!(header.len(), HEADER_BYTES);
 
+        // Header, then the payload from the caller's buffer: one copy of
+        // a record that can run to megabytes.
         self.temp_seq += 1;
         let temp = self
             .dir
             .join(format!(".tmp-{}-{}", std::process::id(), self.temp_seq));
-        let mut bytes = header.into_bytes();
-        bytes.extend_from_slice(payload);
-        fs::write(&temp, &bytes)?;
+        let mut file = File::create(&temp)?;
+        file.write_all(header.bytes())?;
+        file.write_all(payload)?;
+        drop(file);
         // Chaos site: a panic here is a torn publish — the temp file
         // exists but the record was never renamed into place. Readers
         // must see a cold store; open() sweeps the orphan.
@@ -509,7 +435,8 @@ impl ArtifactStore {
         // the reconcile at open() must adopt the record.
         neurofail_par::failpoint!("store::publish_rename");
         self.inserts += 1;
-        self.touch(kind, net_hash, aux_hash, bytes.len() as u64);
+        let bytes = (HEADER_BYTES + payload.len()) as u64;
+        self.touch(kind, net_hash, aux_hash, bytes);
         self.evict_over_budget(kind, net_hash, aux_hash);
         self.write_index()?;
         Ok(true)
@@ -934,24 +861,6 @@ mod tests {
         }
         assert_eq!(store.stats().verify_rejects, 0);
         let _ = (ws, y);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn trained_net_records_round_trip() {
-        let dir = tmp_dir("netkind");
-        let net = net(5);
-        let mut store = ArtifactStore::open(&dir).unwrap();
-        assert!(store.store_net("mnist-v1", &net).unwrap());
-        assert!(!store.store_net("mnist-v1", &net).unwrap());
-        let back = store.load_net("mnist-v1").expect("hit");
-        assert_eq!(net_to_bytes(&back), net_to_bytes(&net));
-        assert!(store.load_net("mnist-v2").is_none(), "unknown name misses");
-        // Checkpoint and net records share the directory without clashing.
-        let xs = points(0, 3);
-        let (ws, y) = checkpoint_of(&net, &xs);
-        store.publish_checkpoint(&net, &xs, &ws, &y).unwrap();
-        assert_eq!(store.stats().entries, 2);
         let _ = fs::remove_dir_all(&dir);
     }
 

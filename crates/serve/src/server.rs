@@ -504,9 +504,9 @@ impl CertServer {
             .then(|| Arc::new(Mutex::new(Vec::<LogEntry>::new())));
         // Partition plans into shard groups: singletons, or per admission
         // family. Families are assigned at registration over net *content*
-        // (hash indexes, bytes prove — `neurofail_inject::Admission`), so
-        // plans registered against content-equal nets coalesce even when
-        // their `Arc`s differ, and the grouping here is pure index
+        // (`NetId`: hash indexes, bytes prove — `PlanRegistry::register`),
+        // so plans registered against content-equal nets coalesce even
+        // when their `Arc`s differ, and the grouping here is pure index
         // comparison.
         let mut groups: Vec<Vec<(PlanId, RegisteredPlan)>> = Vec::new();
         let mut routes = Vec::with_capacity(registry.len());

@@ -97,6 +97,13 @@ impl ByteWriter {
         Self::default()
     }
 
+    /// An empty writer with room for `bytes` bytes.
+    pub fn with_capacity(bytes: usize) -> Self {
+        ByteWriter {
+            buf: Vec::with_capacity(bytes),
+        }
+    }
+
     /// Bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()

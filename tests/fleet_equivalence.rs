@@ -6,7 +6,9 @@
 //!   N ∈ {1, 2, 4} workers, cold and hot (input-partitioned) plans, and
 //!   shuffled arrival orders;
 //! * a fleet-sharded campaign reproduces a single-process
-//!   `run_campaign` bit for bit, for every worker count;
+//!   `run_campaign` bit for bit, for every worker count, and a campaign
+//!   `run_campaign` would reject panics in the caller, as it does
+//!   locally, without costing a worker;
 //! * a mid-run membership change (SIGKILL of a worker while its queries
 //!   and campaign shards are in flight) changes *nothing* about the
 //!   answers: unanswered rows requeue to the respawned process, no
@@ -203,6 +205,43 @@ fn fleet_campaign_is_bitwise_equal_to_single_process() {
     }
 }
 
+/// A campaign a local `run_campaign` rejects — capacity 0, or more faults
+/// than a layer has neurons — panics in the caller before any shard is
+/// sent: no worker dies, none is quarantined, and the fleet still answers
+/// a valid campaign bitwise.
+#[test]
+fn invalid_fleet_campaign_panics_in_the_caller() {
+    let net = build_net(0xBAD, 2, 6);
+    let kind = TrialKind::Neurons(FaultSpec::Crash);
+    let cfg = CampaignConfig {
+        trials: 8,
+        inputs_per_trial: 4,
+        ..CampaignConfig::default()
+    };
+    let fleet = FleetRouter::start(FleetConfig::default(), 2, spawner()).unwrap();
+    let zero_capacity = CampaignConfig {
+        capacity: 0.0,
+        ..cfg
+    };
+    for (counts, bad) in [([2usize, 1], &zero_capacity), ([7, 1], &cfg)] {
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            fleet.run_campaign(&net, &counts, kind, bad)
+        }));
+        assert!(run.is_err(), "{counts:?} {bad:?} must panic in the caller");
+    }
+    let stats = fleet.stats();
+    assert_eq!((stats.respawns, stats.worker_quarantines), (0, 0));
+
+    let whole = run_campaign(&net, &[2, 1], kind, &cfg, Parallelism::Sequential);
+    let got = fleet
+        .run_campaign(&net, &[2, 1], kind, &cfg)
+        .expect("fleet campaign completes");
+    assert_eq!(got.stats.mean.to_bits(), whole.stats.mean.to_bits());
+    assert_eq!(got.evaluations, whole.evaluations);
+    assert_eq!(got.worst, whole.worst);
+    fleet.shutdown();
+}
+
 /// Contract 15's membership clause: killing a worker mid-run (queries in
 /// flight *and* campaign shards outstanding) loses nothing and changes
 /// no answer — the dead process's rows requeue to its respawn.
@@ -297,14 +336,29 @@ fn mid_run_membership_change_preserves_every_answer() {
     fleet.shutdown();
 }
 
+/// Median, lower and upper quartile of `xs` (nearest rank).
+fn quartiles(xs: &[f64]) -> (f64, f64, f64) {
+    let mut v = xs.to_vec();
+    v.sort_by(f64::total_cmp);
+    let at = |q: usize| v[(v.len() - 1) * q / 4];
+    (at(2), at(1), at(3))
+}
+
 /// The fleet saturation gate. On a net heavy enough that evaluation
 /// dominates wire framing (L8 w256), a one-worker fleet must serve a
 /// pipelined query mix at >= 0.9x the throughput of an in-process
-/// `CertServer`: the wire is overhead, not a cliff. Fleets of
-/// N ∈ {1, 2, 4} must serve the same mix without tripping any recovery
-/// machinery. Each deployment gets one timed pass of 128 queries; fleet
-/// launch, registration and route warm-up stay outside it. It measures
-/// wall time, so it is ignored by default and runs in release by name:
+/// `CertServer`: the wire is overhead, not a cliff. The in-process server
+/// and the N=1 fleet are started and warmed once, then alternate nine
+/// timed passes of 128 queries each, and the gate compares their median
+/// q/s, so host noise in one pass cannot decide it. Pass `k` sends both
+/// sides queries `128k..128(k+1)` of the input stream: a repeated input
+/// set would let the in-process workers' checkpoint caches answer from a
+/// previous flush, which measures flush alignment, not the wire. Fleets
+/// of N = 2 and 4 get one pass each; no fleet may trip any recovery
+/// machinery. Fleet launch, registration and route warm-up stay outside
+/// the timed passes.
+/// It measures wall time, so it is ignored by default and runs in release
+/// by name:
 ///
 /// ```text
 /// cargo test --release --test fleet_equivalence -- --ignored --exact \
@@ -314,6 +368,7 @@ fn mid_run_membership_change_preserves_every_answer() {
 #[ignore = "throughput gate, run in release by name"]
 fn one_worker_fleet_keeps_ninety_percent_of_in_process_throughput() {
     const QUERIES: usize = 128;
+    const PASSES: usize = 9;
     let mut b = MlpBuilder::new(8);
     for _ in 0..8 {
         b = b.dense(256, Activation::Sigmoid { k: 1.0 });
@@ -326,47 +381,69 @@ fn one_worker_fleet_keeps_ninety_percent_of_in_process_throughput() {
             .collect()
     };
 
-    // In-process baseline: submit every query, then wait for every answer.
+    // In-process baseline.
     let mut registry = PlanRegistry::new();
     let ids: Vec<PlanId> = plans
         .iter()
         .map(|p| registry.register(Arc::clone(&net), p, 1.0).unwrap())
         .collect();
     let server = CertServer::start(&registry, ServeConfig::default());
-    let t0 = Instant::now();
-    let handles: Vec<_> = (0..QUERIES)
-        .map(|q| server.submit(ids[q % 4], input(q)).expect("submit"))
-        .collect();
-    for h in handles {
-        h.wait().expect("answer");
+    for &id in &ids {
+        server.query(id, &input(0)).expect("warm query");
     }
-    let single = QUERIES as f64 / t0.elapsed().as_secs_f64();
-    server.shutdown();
-
-    let mut fleet_qps = Vec::new();
-    let mut stats = Vec::new();
-    for n in [1usize, 2, 4] {
+    // A fleet of `n` with the plans registered hot and every (plan,
+    // worker) route warmed: hot plans round-robin, so n queries per plan
+    // pull lazy registration (net transfer, embedded-server rebuild) out
+    // of the timed passes.
+    let fleet_of = |n: usize| {
         let fleet = FleetRouter::start(FleetConfig::default(), n, spawner()).unwrap();
         let fids: Vec<_> = plans
             .iter()
             .map(|p| fleet.register_hot(&net, p, 1.0).unwrap())
             .collect();
-        // Hot plans round-robin, so n queries per plan touch every
-        // (plan, worker) route and pull lazy registration (net transfer,
-        // embedded-server rebuild) out of the timed pass.
         for f in &fids {
             for _ in 0..n {
                 fleet.query(*f, &input(0)).expect("warm query");
             }
         }
+        (fleet, fids)
+    };
+    // Timed pass `pass`: submit its queries, then wait for every answer.
+    let queries = |pass: usize| (pass * QUERIES..(pass + 1) * QUERIES).map(|q| (q % 4, input(q)));
+    let fleet_pass = |fleet: &FleetRouter, fids: &[_], pass: usize| {
         let t0 = Instant::now();
-        let handles: Vec<_> = (0..QUERIES)
-            .map(|q| fleet.submit(fids[q % 4], input(q)))
+        let handles: Vec<_> = queries(pass)
+            .map(|(p, x)| fleet.submit(fids[p], x))
             .collect();
         for h in handles {
             h.wait().expect("fleet answer");
         }
-        fleet_qps.push(QUERIES as f64 / t0.elapsed().as_secs_f64());
+        QUERIES as f64 / t0.elapsed().as_secs_f64()
+    };
+
+    let (fleet, fids) = fleet_of(1);
+    let (mut single, mut n1) = (Vec::new(), Vec::new());
+    for pass in 0..PASSES {
+        let t0 = Instant::now();
+        let handles: Vec<_> = queries(pass)
+            .map(|(p, x)| server.submit(ids[p], x).expect("submit"))
+            .collect();
+        for h in handles {
+            h.wait().expect("answer");
+        }
+        single.push(QUERIES as f64 / t0.elapsed().as_secs_f64());
+        n1.push(fleet_pass(&fleet, &fids, pass));
+        println!(
+            "pass {pass}: single {:.0} q/s, N=1 {:.0} q/s",
+            single[pass], n1[pass]
+        );
+    }
+    server.shutdown();
+    let mut stats = vec![fleet.shutdown()];
+    let mut others = Vec::new();
+    for n in [2usize, 4] {
+        let (fleet, fids) = fleet_of(n);
+        others.push(fleet_pass(&fleet, &fids, 0));
         stats.push(fleet.shutdown());
     }
 
@@ -379,15 +456,19 @@ fn one_worker_fleet_keeps_ninety_percent_of_in_process_throughput() {
         ("heartbeat_kills", sum(|s| s.heartbeat_kills)),
         ("protocol_errors", sum(|s| s.protocol_errors)),
     ];
-    let n1 = fleet_qps[0];
+    let (single_med, single_q1, single_q3) = quartiles(&single);
+    let (n1_med, n1_q1, n1_q3) = quartiles(&n1);
     println!(
-        "fleet n1/single: {:.3} (single {single:.0} q/s, N=1,2,4 {:.0?} q/s); answers {answers}, {recovery:?}",
-        n1 / single,
-        fleet_qps
+        "single median {single_med:.0} q/s [{single_q1:.0}, {single_q3:.0}]; \
+         N=1 median {n1_med:.0} q/s [{n1_q1:.0}, {n1_q3:.0}]; N=2,4 {others:.0?} q/s"
+    );
+    println!(
+        "fleet n1/single: {:.3}; answers {answers}, {recovery:?}",
+        n1_med / single_med
     );
     assert!(
-        n1 >= 0.9 * single,
-        "one worker served {n1:.0} q/s, under 0.9x the in-process {single:.0} q/s"
+        n1_med >= 0.9 * single_med,
+        "one worker served a median {n1_med:.0} q/s, under 0.9x the in-process {single_med:.0} q/s"
     );
     assert!(answers > 0, "the fleets answered nothing");
     for (name, count) in recovery {

@@ -4,11 +4,14 @@
 //!   prefixes, stale versions, unknown kinds and pure garbage against
 //!   `read_frame`/`Message::decode`: every mutation yields a typed
 //!   [`ProtocolError`] or the bit-exact original message — never a
-//!   panic, a hang, or a silently different message;
+//!   panic, a hang, or a silently different message; and a well-formed
+//!   frame carrying a value the worker's embedded server would panic on
+//!   (a capacity that is not positive, zero batch or queue sizes,
+//!   out-of-range plan strikes) decodes to `Malformed`;
 //! * **live worker leg** — a *real* worker process (re-invocation of
-//!   this binary) fed garbage over its socket replies `Bye` with a
-//!   nonzero reason, resets the connection, and exits with the clean
-//!   protocol-error code (1) — not a panic (101) — with nothing
+//!   this binary) fed garbage or such values over its socket replies
+//!   `Bye` with a nonzero reason, resets the connection, and exits with
+//!   the clean protocol-error code (1) — not a panic (101) — with nothing
 //!   panicking on stderr. A clean close at a frame boundary exits 0.
 
 use std::io::Read as _;
@@ -23,6 +26,8 @@ use neurofail::fleet::{FleetListener, Transport, ENV_ADDR, ENV_WORKER};
 use neurofail::inject::{
     ByzantineStrategy, CampaignConfig, FaultSpec, InjectionPlan, TrialKind, WorstCase,
 };
+use neurofail::nn::activation::Activation;
+use neurofail::nn::MlpBuilder;
 use proptest::prelude::*;
 
 /// The worker process (see `fleet_equivalence.rs`).
@@ -241,11 +246,77 @@ fn header_attacks_are_typed_and_bounded() {
     ));
 }
 
+/// Frames whose values would panic the worker's embedded server decode
+/// to `Malformed`: capacities that are not `> 0.0` in `Register` and
+/// `Shard`, and `Configure` sizes its `ServeConfig` rejects. A capacity
+/// of +∞ stays legal, as it is for `CompiledPlan::compile`.
+#[test]
+fn crashing_values_are_malformed_at_decode() {
+    let register = |capacity| Message::Register {
+        plan: 9,
+        net: vec![0u8; 40],
+        plan_bytes: neurofail::fleet::proto::plan_to_bytes(&InjectionPlan::crash([(0, 0)])),
+        capacity,
+    };
+    let shard = |capacity| Message::Shard {
+        job: 2,
+        shard: 1,
+        net: vec![0u8; 24],
+        counts: vec![2, 1],
+        kind: TrialKind::Neurons(FaultSpec::Crash),
+        cfg: CampaignConfig {
+            trials: 10,
+            capacity,
+            ..CampaignConfig::default()
+        },
+        first: 0,
+        count: 10,
+    };
+    let configure = |max_batch, queue_capacity, max_plan_strikes| {
+        Message::Configure(WireServeConfig {
+            max_batch,
+            max_wait_nanos: 100_000,
+            queue_capacity,
+            record_log: true,
+            max_plan_strikes,
+        })
+    };
+    let frame = |msg: &Message| {
+        let (kind, payload) = msg.encode();
+        encode_frame(kind, &payload)
+    };
+    for bad in [
+        register(0.0),
+        register(-1.0),
+        register(f64::NAN),
+        shard(0.0),
+        shard(f64::NAN),
+        configure(0, 1024, 3),
+        configure(64, 0, 3),
+        configure(64, 1024, 0),
+        configure(64, 1024, 1 << 32),
+    ] {
+        assert!(
+            matches!(decode_bytes(&frame(&bad)), Err(ProtocolError::Malformed(_))),
+            "{bad:?} must be malformed"
+        );
+    }
+    for good in [
+        register(f64::INFINITY),
+        shard(f64::INFINITY),
+        configure(1, 1, u64::from(u32::MAX)),
+    ] {
+        assert_eq!(decode_bytes(&frame(&good)).expect("legal"), good);
+    }
+}
+
 /// Spawn a real worker wired to `listener`'s address, returning the
-/// child. Stderr is captured for the no-panics assertion.
+/// child. Stderr is captured for the no-panics assertion; `--nocapture`
+/// sends the child's panic messages there instead of into libtest's
+/// capture.
 fn spawn_live_worker(addr: &str) -> std::process::Child {
     Command::new(std::env::current_exe().expect("current_exe"))
-        .args(["fleet_worker_child", "--ignored", "--exact"])
+        .args(["fleet_worker_child", "--ignored", "--exact", "--nocapture"])
         .env(ENV_ADDR, addr)
         .env(ENV_WORKER, "0")
         .stdout(Stdio::null())
@@ -332,6 +403,52 @@ fn live_worker_survives_garbage_with_typed_reset() {
     assert!(
         !stderr.contains("panicked"),
         "worker panicked on garbage input:\n{stderr}"
+    );
+}
+
+/// A well-formed `Register` with capacity 0 — which would panic
+/// `CompiledPlan::compile` — gets the garbage treatment: a reasoned `Bye`
+/// and exit 1, not a panic (exit 101).
+#[test]
+fn live_worker_rejects_zero_capacity_with_typed_reset() {
+    let listener = FleetListener::bind(Transport::Unix).expect("bind");
+    let mut child = spawn_live_worker(&listener.addr());
+    let mut conn = listener.accept().expect("worker dials in");
+    match read_message(&mut conn).expect("hello") {
+        Message::Hello { worker: 0, gen: 0 } => {}
+        other => panic!("expected Hello, got {other:?}"),
+    }
+    // A real net and plan, so only the capacity is wrong.
+    let net = MlpBuilder::new(2)
+        .dense(3, Activation::Sigmoid { k: 1.0 })
+        .build(&mut neurofail::data::rng::rng(1));
+    let register = Message::Register {
+        plan: 0,
+        net: neurofail::nn::net_to_bytes(&net),
+        plan_bytes: neurofail::fleet::proto::plan_to_bytes(&InjectionPlan::crash([(0, 0)])),
+        capacity: 0.0,
+    };
+    write_message(&mut conn, &register).unwrap();
+    match read_message(&mut conn) {
+        Ok(Message::Bye { code }) => assert_ne!(code, 0, "a rejection is no graceful goodbye"),
+        other => panic!("expected Bye, got {other:?}"),
+    }
+    let status = wait_with_deadline(&mut child);
+    assert_eq!(
+        status.code(),
+        Some(1),
+        "rejection exits the clean error path"
+    );
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .expect("piped stderr")
+        .read_to_string(&mut stderr)
+        .expect("read stderr");
+    assert!(
+        !stderr.contains("panicked"),
+        "worker panicked on a zero capacity:\n{stderr}"
     );
 }
 

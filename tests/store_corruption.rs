@@ -21,7 +21,6 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use neurofail::data::rng::rng;
-use neurofail::inject::plan::{SynapseFault, SynapseSite, SynapseTarget};
 use neurofail::inject::{
     ArtifactStore, ByzantineStrategy, CheckpointCache, InjectionPlan, PlanId, PlanRegistry,
 };
@@ -258,52 +257,26 @@ fn rekey(path: &Path, net_hash: u64) {
     fs::write(path.with_file_name(name), bytes).unwrap();
 }
 
-/// Records of net A re-keyed to net B keep a valid checksum (it covers the
-/// payload only); B's network bytes, and for the compiled plan B's weight
-/// at the crashed synapse, must reject them: a verify reject, never A's
-/// values.
+/// A record of net A re-keyed to net B keeps a valid checksum (it covers
+/// the payload only); B's network bytes must reject it: a verify reject,
+/// never A's values.
 #[test]
 fn records_rekeyed_to_another_network_are_rejected() {
     let _session = chaos_session();
     let dir = store_dir("rekey");
-    let (net_a, net_b) = (Arc::new(build_net(1, 2, 4)), Arc::new(build_net(2, 2, 4)));
-    let crash = SynapseSite {
-        target: SynapseTarget::Hidden {
-            layer: 1,
-            to: 2,
-            from: 1,
-        },
-        fault: SynapseFault::Crash,
-    };
-    let plan = InjectionPlan {
-        neurons: vec![],
-        synapses: vec![crash],
-    };
-    assert_ne!(
-        net_a.layers()[1].weight(2, 1),
-        net_b.layers()[1].weight(2, 1)
-    );
+    let (net_a, net_b) = (build_net(1, 2, 4), build_net(2, 2, 4));
     let xs = probes(1, 4);
     let (mut ws, mut out) = (BatchWorkspace::default(), BatchWorkspace::default());
     let y = net_a.forward_batch(&xs, &mut ws);
     let mut store = ArtifactStore::open(&dir).unwrap();
     store.publish_checkpoint(&net_a, &xs, &ws, &y).unwrap();
-    PlanRegistry::new()
-        .register_with_store(Arc::clone(&net_a), &plan, 1.0, &mut store)
-        .unwrap();
     let records = record_files(&dir);
-    assert_eq!(records.len(), 2, "a checkpoint and a compiled plan");
-    for record in &records {
-        rekey(record, NetId::of(&net_b).hash());
-    }
+    assert_eq!(records.len(), 1, "one checkpoint");
+    rekey(&records[0], NetId::of(&net_b).hash());
 
     assert!(store.load_checkpoint(&net_b, &xs, &mut out).is_none());
-    let mut reg = PlanRegistry::new();
-    reg.register_with_store(Arc::clone(&net_b), &plan, 1.0, &mut store)
-        .unwrap();
-    assert_eq!(store.stats().verify_rejects, 2);
-    assert_eq!(reg.admission_stats().warm_admissions, 0, "compiled cold");
-    // A's own records are untouched.
+    assert_eq!(store.stats().verify_rejects, 1);
+    // A's own record is untouched.
     let got = store
         .load_checkpoint(&net_a, &xs, &mut out)
         .expect("A hits");
