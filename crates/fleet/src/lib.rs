@@ -12,7 +12,10 @@
 //!   [`ByteReader`](neurofail_tensor::ByteReader) codec. Any damaged
 //!   frame surfaces as a typed [`ProtocolError`] and a connection reset —
 //!   never a panic, a hang, or a silently wrong value (fuzz-certified in
-//!   `tests/fleet_protocol.rs`).
+//!   `tests/fleet_protocol.rs`). Senders queue whole frames
+//!   ([`proto::push_message`]) and write a burst of them at once, just
+//!   before the sending thread would block; receivers read through a
+//!   buffer, so a burst costs one read.
 //! * [`transport`] — unix-domain sockets or localhost TCP behind one
 //!   address string; workers dial in, the router supervises.
 //! * [`worker`] — the worker process shell: env-configured

@@ -8,7 +8,7 @@
 //! Frame layout (all words little-endian u64):
 //!
 //! ```text
-//! MAGIC | VERSION | kind | payload_len_bytes | checksum64(payload) | payload…
+//! MAGIC | VERSION | kind | payload_len_bytes | checksum64(words 0..4 ‖ payload) | payload…
 //! ```
 //!
 //! The payload is itself a [`ByteWriter`] stream, so its length is always
@@ -18,6 +18,11 @@
 //! tag, every declared count against the bytes actually present
 //! ([`ByteReader::get_len`]), and that the payload is fully consumed —
 //! trailing garbage is an error, not ignored.
+//!
+//! Frames are self-delimiting, so a sender may queue several whole frames
+//! ([`push_message`]) and send them in one write, and a receiver may read
+//! through a buffer: [`read_frame`] reads a frame split across buffer
+//! fills exactly as one that is not.
 
 use std::io::{self, Read, Write};
 use std::time::Duration;
@@ -27,7 +32,7 @@ use neurofail_inject::{
     plan::{NeuronFault, NeuronSite, SynapseFault, SynapseSite, SynapseTarget},
     ByzantineStrategy, CampaignConfig, InjectionPlan, TrialKind, WorstCase,
 };
-use neurofail_tensor::{checksum64, ByteReader, ByteWriter, DecodeError, OnlineStats};
+use neurofail_tensor::{checksum64_words, ByteReader, ByteWriter, DecodeError, OnlineStats};
 
 /// Frame magic: `"NFFLEET1"` as a little-endian word.
 pub const MAGIC: u64 = u64::from_le_bytes(*b"NFFLEET1");
@@ -112,33 +117,58 @@ impl From<io::Error> for ProtocolError {
     }
 }
 
-/// Encode one frame around an already-built payload. The checksum covers
-/// the leading header words *and* the payload: a bit flip anywhere in
-/// the frame — including the kind word, where a flip could otherwise
-/// turn one same-shaped message into another — fails validation.
-pub fn encode_frame(kind: u64, payload: &[u8]) -> Vec<u8> {
+/// `checksum64` of the frame's first 32 bytes followed by its payload,
+/// without concatenating them: the same words folded in the same order
+/// (the byte length, the four header words, then the payload's words).
+fn frame_checksum(header: [u64; 4], payload: &[u8]) -> u64 {
     debug_assert!(
         payload.len().is_multiple_of(8),
         "payload must be word-aligned"
     );
-    let mut w = ByteWriter::new();
-    w.put_u64(MAGIC);
-    w.put_u64(PROTO_VERSION);
-    w.put_u64(kind);
-    w.put_u64(payload.len() as u64);
-    let mut out = w.into_bytes();
-    let mut sum = Vec::with_capacity(out.len() + payload.len());
-    sum.extend_from_slice(&out);
-    sum.extend_from_slice(payload);
-    out.extend_from_slice(&checksum64(&sum).to_le_bytes());
+    let words = payload
+        .chunks_exact(8)
+        .map(|w| u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+    checksum64_words(
+        std::iter::once(32 + payload.len() as u64)
+            .chain(header)
+            .chain(words),
+    )
+}
+
+/// Append one frame around an already-built payload to `out`. The
+/// checksum covers the leading header words *and* the payload: a bit
+/// flip anywhere in the frame — including the kind word, where a flip
+/// could otherwise turn one same-shaped message into another — fails
+/// validation.
+fn push_frame(out: &mut Vec<u8>, kind: u64, payload: &[u8]) {
+    let header = [MAGIC, PROTO_VERSION, kind, payload.len() as u64];
+    let sum = frame_checksum(header, payload);
+    out.reserve(40 + payload.len());
+    for word in header.into_iter().chain([sum]) {
+        out.extend_from_slice(&word.to_le_bytes());
+    }
     out.extend_from_slice(payload);
+}
+
+/// Encode one frame around an already-built payload.
+pub fn encode_frame(kind: u64, payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(40 + payload.len());
+    push_frame(&mut out, kind, payload);
     out
+}
+
+/// Append one message as a frame to `out`, so that a burst of frames
+/// leaves in one write.
+pub fn push_message(out: &mut Vec<u8>, msg: &Message) {
+    let (kind, payload) = msg.encode();
+    push_frame(out, kind, &payload);
 }
 
 /// Write one message as a frame.
 pub fn write_message(w: &mut impl Write, msg: &Message) -> io::Result<()> {
-    let (kind, payload) = msg.encode();
-    w.write_all(&encode_frame(kind, &payload))
+    let mut out = Vec::new();
+    push_message(&mut out, msg);
+    w.write_all(&out)
 }
 
 fn read_exact_or(
@@ -193,12 +223,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<(u64, Vec<u8>), ProtocolError> {
     }
     let mut payload = vec![0u8; len as usize];
     read_exact_or(r, &mut payload, false)?;
-    let got = {
-        let mut sum = Vec::with_capacity(32 + payload.len());
-        sum.extend_from_slice(&header[..32]);
-        sum.extend_from_slice(&payload);
-        checksum64(&sum)
-    };
+    let got = frame_checksum([magic, version, kind, len], &payload);
     if got != declared {
         return Err(ProtocolError::Checksum {
             expected: declared,
@@ -1026,16 +1051,66 @@ mod tests {
         ]
     }
 
+    /// A reader that yields at most `step` bytes per `read`.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        step: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = buf.len().min(self.step).min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
     #[test]
     fn every_message_roundtrips_through_a_frame() {
-        for msg in sample_messages() {
+        let messages = sample_messages();
+        for msg in &messages {
             let (kind, payload) = msg.encode();
             let framed = encode_frame(kind, &payload);
             let mut cursor = &framed[..];
             let got = read_message(&mut cursor).expect("frame reads back");
-            assert_eq!(got, msg);
+            assert_eq!(&got, msg);
             assert!(cursor.is_empty());
         }
+
+        // One burst of every message, read back through a buffer smaller
+        // than most frames over a reader that splits them further.
+        let mut burst = Vec::new();
+        for msg in &messages {
+            push_message(&mut burst, msg);
+        }
+        let mut reader = io::BufReader::with_capacity(
+            16,
+            Trickle {
+                bytes: &burst,
+                step: 7,
+            },
+        );
+        for msg in &messages {
+            assert_eq!(&read_message(&mut reader).expect("burst frame"), msg);
+        }
+        assert_eq!(read_message(&mut reader), Err(ProtocolError::Closed));
+
+        // Every checksum word is `checksum64` over the frame's first 32
+        // bytes followed by its payload, as the frame layout defines it.
+        let word = |at: usize| u64::from_le_bytes(burst[at..at + 8].try_into().expect("word"));
+        let mut at = 0;
+        for _ in &messages {
+            let end = at + 40 + word(at + 24) as usize;
+            let mut covered = burst[at..at + 32].to_vec();
+            covered.extend_from_slice(&burst[at + 40..end]);
+            assert_eq!(word(at + 32), neurofail_tensor::checksum64(&covered));
+            at = end;
+        }
+        assert_eq!(at, burst.len());
+        // And one frame's bytes pinned outright.
+        let ping = encode_frame(K_PING, &9u64.to_le_bytes());
+        assert_eq!(&ping[32..40], &0xe22b_1bc3_2429_185f_u64.to_le_bytes());
     }
 
     #[test]

@@ -16,6 +16,13 @@
 //!   (or a sibling once the worker is quarantined) — never dropped; and
 //!   because an answer *removes* the table entry before resolving the
 //!   caller, a row can be recomputed but never double-answered.
+//! * **Burst writes** — the supervisor queues each connection's frames
+//!   in a byte buffer and writes it whole (one `write_all`, one
+//!   `fleet::send` failpoint hit) when its event channel runs empty,
+//!   after at most 64 events, and at shutdown. A row enters its in-flight
+//!   table when its frame is queued, so a failed write is an ordinary
+//!   connection loss that requeues every row it carried. Each
+//!   connection's reader thread reads through a 64 KiB buffer.
 //! * **Heartbeats** — a connection silent past the heartbeat interval
 //!   while work is outstanding is pinged; repeated unanswered pings get
 //!   the process killed and its work requeued (catches stalls, which
@@ -31,7 +38,7 @@
 //!   `run_campaign` bit for bit (ARCHITECTURE contract 15).
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::io;
+use std::io::{self, BufReader, Write};
 use std::path::PathBuf;
 use std::process::Child;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -48,7 +55,7 @@ use neurofail_par::Parallelism;
 use neurofail_serve::ServeConfig;
 
 use crate::proto::{
-    code, read_message, retry_after, trial_to_result, write_message, Message, ProtocolError,
+    code, push_message, read_message, retry_after, trial_to_result, Message, ProtocolError,
     WireServeConfig, WireWorkerStats,
 };
 use crate::transport::{FleetListener, FleetStream, Transport};
@@ -343,6 +350,8 @@ enum Cmd {
 struct Conn {
     writer: FleetStream,
     gen: u64,
+    /// Whole frames queued for this connection; `flush_writes` sends them.
+    out: Vec<u8>,
 }
 
 struct Pend {
@@ -485,20 +494,33 @@ impl Supervisor {
         }
     }
 
-    /// Write a frame to worker `i`; a failed write is a connection loss.
+    /// Queue a frame for worker `i`; false if the slot has no connection.
     fn send_to(&mut self, i: usize, msg: &Message) -> bool {
-        let lost = {
-            let Some(conn) = self.workers[i].conn.as_mut() else {
-                return false;
-            };
-            neurofail_par::failpoint!("fleet::send");
-            write_message(&mut conn.writer, msg).is_err()
-        };
-        if lost {
-            self.conn_lost(i);
+        let Some(conn) = self.workers[i].conn.as_mut() else {
             return false;
-        }
+        };
+        push_message(&mut conn.out, msg);
         true
+    }
+
+    /// Send every connection's queued frames, one write each. A failed
+    /// write is a connection loss: every row it carried is already in the
+    /// in-flight table, so `conn_lost` requeues it (possibly onto a
+    /// sibling, whose frames the next round of the loop sends).
+    fn flush_writes(&mut self) {
+        while let Some(i) = self
+            .workers
+            .iter()
+            .position(|w| w.conn.as_ref().is_some_and(|c| !c.out.is_empty()))
+        {
+            let conn = self.workers[i].conn.as_mut().expect("found above");
+            let failed = neurofail_par::failpoint_reject!("fleet::send")
+                || conn.writer.write_all(&conn.out).is_err();
+            conn.out.clear();
+            if failed {
+                self.conn_lost(i);
+            }
+        }
     }
 
     fn ensure_registered(&mut self, i: usize, plan: u64) -> bool {
@@ -535,8 +557,9 @@ impl Supervisor {
         }
     }
 
-    /// Route a pend to worker `i`: into the in-flight table *before* the
-    /// write, so a failed write requeues it like any other in-flight row.
+    /// Route a pend to worker `i`: into the in-flight table as its frame
+    /// is queued, so a failed write requeues it like any other in-flight
+    /// row.
     fn dispatch(&mut self, i: usize, pend: Pend) {
         if self.workers[i].quarantined {
             return self.enqueue_or_reroute(i, pend);
@@ -714,14 +737,19 @@ impl Supervisor {
             let _ = stream.shutdown();
             return;
         };
-        self.workers[i].conn = Some(Conn { writer, gen });
+        self.workers[i].conn = Some(Conn {
+            writer,
+            gen,
+            out: Vec::new(),
+        });
         self.workers[i].last_heard = Instant::now();
         self.workers[i].missed_pings = 0;
         self.workers[i].registered.clear();
 
-        // Per-connection reader: frames in, EOF/garbage out as Down.
+        // Per-connection reader: frames in, EOF/garbage out as Down. A
+        // burst of frames costs one read.
         let tx = self.tx.clone();
-        let mut reader = stream;
+        let mut reader = BufReader::with_capacity(1 << 16, stream);
         std::thread::spawn(move || loop {
             match read_message(&mut reader) {
                 Ok(msg) => {
@@ -1059,6 +1087,7 @@ impl Supervisor {
                     }
                     self.send_to(i, &Message::Shutdown);
                 }
+                self.flush_writes();
                 let deadline = Instant::now() + Duration::from_secs(5);
                 for i in 0..self.workers.len() {
                     if let Some(child) = self.workers[i].child.as_mut() {
@@ -1090,9 +1119,28 @@ impl Supervisor {
         for i in 0..self.workers.len() {
             self.launch(i);
         }
+        // Queued frames go out just before the loop would block, and after
+        // every `FLUSH_EVERY` events of a steady stream.
+        let mut unflushed = 0;
         loop {
-            match self.rx.recv_timeout(self.cfg.heartbeat) {
-                Ok(Event::Cmd(cmd)) => {
+            let event = match self.rx.try_recv() {
+                Ok(event) => event,
+                Err(mpsc::TryRecvError::Empty) => {
+                    self.flush_writes();
+                    unflushed = 0;
+                    match self.rx.recv_timeout(self.cfg.heartbeat) {
+                        Ok(event) => event,
+                        Err(mpsc::RecvTimeoutError::Timeout) => {
+                            self.heartbeat_tick();
+                            continue;
+                        }
+                        Err(mpsc::RecvTimeoutError::Disconnected) => return,
+                    }
+                }
+                Err(mpsc::TryRecvError::Disconnected) => return,
+            };
+            match event {
+                Event::Cmd(cmd) => {
                     let is_shutdown = matches!(cmd, Cmd::Shutdown { .. });
                     self.on_cmd(cmd);
                     if is_shutdown {
@@ -1100,13 +1148,13 @@ impl Supervisor {
                         return;
                     }
                 }
-                Ok(Event::Accepted {
+                Event::Accepted {
                     worker,
                     gen,
                     stream,
-                }) => self.on_accepted(worker, gen, stream),
-                Ok(Event::Frame { worker, gen, msg }) => self.on_frame(worker, gen, msg),
-                Ok(Event::Down { worker, gen }) => {
+                } => self.on_accepted(worker, gen, stream),
+                Event::Frame { worker, gen, msg } => self.on_frame(worker, gen, msg),
+                Event::Down { worker, gen } => {
                     let current = matches!(
                         self.workers[worker].conn.as_ref(),
                         Some(conn) if conn.gen == gen
@@ -1115,13 +1163,19 @@ impl Supervisor {
                         self.conn_lost(worker);
                     }
                 }
-                Ok(Event::Noise) => self.stats.protocol_errors += 1,
-                Err(mpsc::RecvTimeoutError::Timeout) => self.heartbeat_tick(),
-                Err(mpsc::RecvTimeoutError::Disconnected) => return,
+                Event::Noise => self.stats.protocol_errors += 1,
+            }
+            unflushed += 1;
+            if unflushed == FLUSH_EVERY {
+                self.flush_writes();
+                unflushed = 0;
             }
         }
     }
 }
+
+/// Most events the supervisor handles between two `flush_writes`.
+const FLUSH_EVERY: u32 = 64;
 
 fn refusal(c: u64, retry_after_nanos: u64) -> FleetError {
     match c {

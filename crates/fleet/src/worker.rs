@@ -26,9 +26,9 @@
 //!   failpoint sites.
 
 use std::collections::HashMap;
-use std::io::Write;
+use std::io::{BufReader, Write};
 use std::path::PathBuf;
-use std::sync::mpsc;
+use std::sync::mpsc::{self, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -41,8 +41,8 @@ use neurofail_serve::{
 };
 
 use crate::proto::{
-    code, plan_from_bytes, read_message, write_message, Message, ProtocolError, WireTrial,
-    WireWorkerStats,
+    code, plan_from_bytes, push_message, read_message, write_message, Message, ProtocolError,
+    WireTrial, WireWorkerStats,
 };
 use crate::transport::FleetStream;
 
@@ -138,8 +138,9 @@ pub fn run_worker(
     #[cfg(not(feature = "failpoints"))]
     let _ = chaos_seed;
 
-    let mut reader = FleetStream::connect(addr)?;
-    let writer = Arc::new(Mutex::new(reader.try_clone()?));
+    let stream = FleetStream::connect(addr)?;
+    let writer = Arc::new(Mutex::new(stream.try_clone()?));
+    let mut reader = BufReader::with_capacity(1 << 16, stream);
     send(&writer, &Message::Hello { worker, gen })?;
 
     let store: Option<SharedArtifactStore> = match store_dir {
@@ -164,13 +165,39 @@ pub fn run_worker(
 
     // The answer pump: resolves responses strictly in submission order
     // and writes them back, so the main loop never blocks on a wait.
+    // Answers collect in `out` and go out in one write just before the
+    // pump blocks — on an empty channel or an unresolved handle — so no
+    // answer waits on a later one.
     let (pump_tx, pump_rx) = mpsc::channel::<(u64, neurofail_serve::ResponseHandle)>();
     let pump_writer = Arc::clone(&writer);
     let pump = std::thread::spawn(move || {
         let _guard = AbortOnPanic;
-        for (seq, handle) in pump_rx {
+        let mut out = Vec::new();
+        loop {
+            let (seq, handle) = match pump_rx.try_recv() {
+                Ok(next) => next,
+                Err(TryRecvError::Empty) => {
+                    if send_all(&pump_writer, &mut out).is_err() {
+                        return; // connection gone; main loop is dying too
+                    }
+                    match pump_rx.recv() {
+                        Ok(next) => next,
+                        Err(_) => break,
+                    }
+                }
+                Err(TryRecvError::Disconnected) => break,
+            };
             failpoint!("fleet::answer");
-            let msg = match handle.wait() {
+            let resolved = match handle.try_wait() {
+                Some(resolved) => resolved.map(|r| r.value),
+                None => {
+                    if send_all(&pump_writer, &mut out).is_err() {
+                        return;
+                    }
+                    handle.wait()
+                }
+            };
+            let msg = match resolved {
                 Ok(value) => Message::Answer { seq, value },
                 Err(e) => Message::Refused {
                     seq,
@@ -178,10 +205,9 @@ pub fn run_worker(
                     retry_after_nanos: 0,
                 },
             };
-            if send(&pump_writer, &msg).is_err() {
-                return; // connection gone; main loop is dying too
-            }
+            push_message(&mut out, &msg);
         }
+        let _ = send_all(&pump_writer, &mut out);
     });
 
     let mut campaign_threads = Vec::new();
@@ -191,14 +217,7 @@ pub fn run_worker(
             Ok(m) => m,
             Err(ProtocolError::Closed) => break Ok(()),
             Err(e @ ProtocolError::Io(_)) => break Err(e),
-            Err(e) => {
-                // Malformed traffic: tell the peer why, then reset. The
-                // contract under fuzzed frames is a *typed* death — clean
-                // exit, never a panic or a hang.
-                let _ = send(&writer, &Message::Bye { code: bye_code(&e) });
-                let _ = reader.shutdown();
-                break Err(e);
-            }
+            Err(e) => break Err(reset(&writer, reader.get_ref(), e)),
         };
         match msg {
             Message::Configure(wire) => {
@@ -219,18 +238,8 @@ pub fn run_worker(
                 plan_bytes,
                 capacity,
             } => {
-                if !state.plan_map.contains_key(&plan) {
-                    let net = Arc::new(net_from_bytes(&net)?);
-                    let decoded = plan_from_bytes(&plan_bytes)?;
-                    // Registration after the server exists forces a
-                    // rebuild; retire the old one so its log and stats
-                    // survive into this process's totals.
-                    state.retire_server();
-                    let id = state
-                        .registry
-                        .register(net, &decoded, capacity)
-                        .map_err(|_| ProtocolError::Malformed("plan failed admission"))?;
-                    state.plan_map.insert(plan, id);
+                if let Err(e) = state.register(plan, &net, &plan_bytes, capacity) {
+                    break Err(reset(&writer, reader.get_ref(), e));
                 }
                 send(&writer, &Message::Registered { plan })?;
             }
@@ -259,7 +268,10 @@ pub fn run_worker(
                 first,
                 count,
             } => {
-                let net: Mlp = net_from_bytes(&net)?;
+                let net: Mlp = match net_from_bytes(&net) {
+                    Ok(net) => net,
+                    Err(e) => break Err(reset(&writer, reader.get_ref(), e.into())),
+                };
                 let shard_writer = Arc::clone(&writer);
                 campaign_threads.push(std::thread::spawn(move || {
                     let _guard = AbortOnPanic;
@@ -385,6 +397,31 @@ impl WorkerState {
         }
     }
 
+    /// Admit fleet plan `plan` unless this process already holds it.
+    fn register(
+        &mut self,
+        plan: u64,
+        net: &[u8],
+        plan_bytes: &[u8],
+        capacity: f64,
+    ) -> Result<(), ProtocolError> {
+        if self.plan_map.contains_key(&plan) {
+            return Ok(());
+        }
+        let net = Arc::new(net_from_bytes(net)?);
+        let decoded = plan_from_bytes(plan_bytes)?;
+        // Registration after the server exists forces a rebuild; retire
+        // the old one so its log and stats survive into this process's
+        // totals.
+        self.retire_server();
+        let id = self
+            .registry
+            .register(net, &decoded, capacity)
+            .map_err(|_| ProtocolError::Malformed("plan failed admission"))?;
+        self.plan_map.insert(plan, id);
+        Ok(())
+    }
+
     fn submit(
         &mut self,
         plan: u64,
@@ -447,11 +484,27 @@ impl WorkerState {
     }
 }
 
-fn send(writer: &Arc<Mutex<FleetStream>>, msg: &Message) -> Result<(), ProtocolError> {
-    let mut guard = writer.lock().expect("writer mutex");
-    write_message(&mut *guard, msg)?;
-    guard.flush()?;
+fn send(writer: &Mutex<FleetStream>, msg: &Message) -> Result<(), ProtocolError> {
+    write_message(&mut *writer.lock().expect("writer mutex"), msg)?;
     Ok(())
+}
+
+/// Write a buffer of whole frames in one write, then empty it.
+fn send_all(writer: &Mutex<FleetStream>, out: &mut Vec<u8>) -> Result<(), ProtocolError> {
+    if !out.is_empty() {
+        writer.lock().expect("writer mutex").write_all(out)?;
+        out.clear();
+    }
+    Ok(())
+}
+
+/// Malformed traffic: tell the peer why, then reset. The contract under
+/// fuzzed frames is a *typed* death — clean exit, never a panic or a
+/// hang.
+fn reset(writer: &Mutex<FleetStream>, stream: &FleetStream, e: ProtocolError) -> ProtocolError {
+    let _ = send(writer, &Message::Bye { code: bye_code(&e) });
+    let _ = stream.shutdown();
+    e
 }
 
 fn request_error_code(e: &RequestError) -> u64 {

@@ -16,7 +16,12 @@
 //!   rerouted — never dropped);
 //! * a killed worker's warm streaming state degrades only to
 //!   recomputation: values stay bitwise identical, and the death is
-//!   visible *solely* in the statistics (respawn/requeue counters).
+//!   visible *solely* in the statistics (respawn/requeue counters);
+//! * a failed router write — one write carries a burst of frames —
+//!   requeues every row it carried: nothing is lost or answered twice.
+//!
+//! The router's `fleet::send` site counts hits process-wide, so every
+//! test here holds a chaos session and the tests run one at a time.
 //!
 //! Schedule count is env-tunable (`NEUROFAIL_FLEET_CHAOS_SCHEDULES`,
 //! default 50) so CI can pin a smaller seeded subset.
@@ -34,6 +39,7 @@ use neurofail::inject::{
 use neurofail::nn::activation::Activation;
 use neurofail::nn::builder::MlpBuilder;
 use neurofail::nn::Mlp;
+use neurofail::par::failpoint::{install, ChaosAction, ChaosGuard, ChaosSchedule};
 use neurofail::par::Parallelism;
 use neurofail::serve::{CertServer, ServeConfig};
 use neurofail::tensor::init::Init;
@@ -55,6 +61,11 @@ fn spawner() -> WorkerSpawner {
         "--ignored".into(),
         "--exact".into(),
     ])
+}
+
+/// Hold the process-wide chaos session, nothing armed in this process.
+fn chaos_session() -> ChaosGuard {
+    install(ChaosSchedule::new(0))
 }
 
 fn schedules() -> u64 {
@@ -135,6 +146,7 @@ fn chaotic_config(seed: u64) -> FleetConfig {
 /// fired while queries and campaign shards are in flight.
 #[test]
 fn seeded_chaos_loses_nothing_duplicates_nothing_corrupts_nothing() {
+    let _session = chaos_session();
     let net = Arc::new(build_net(0xC4A05, 2, 6));
     let plans = plan_family(&net, 0xC4A05);
     let mix = request_mix(0xC4A05, 24, plans.len());
@@ -255,6 +267,7 @@ fn seeded_chaos_loses_nothing_duplicates_nothing_corrupts_nothing() {
 /// is statistical (respawn/requeue counters, rebuilt servers).
 #[test]
 fn killed_worker_streaming_state_degrades_only_in_stats() {
+    let _session = chaos_session();
     let net = Arc::new(build_net(0x57A7E, 2, 6));
     let plans = plan_family(&net, 0x57A7E);
     let mix = request_mix(0x57A7E, 16, plans.len());
@@ -306,4 +319,80 @@ fn killed_worker_streaming_state_degrades_only_in_stats() {
     let audit = fleet.audit();
     assert!(audit.clean(), "respawned worker's log replays bitwise");
     fleet.shutdown();
+}
+
+/// A router write carries every frame queued for its connection. When
+/// one fails (a `fleet::send` reject, armed past the warm-up writes),
+/// every row it carried is already in the in-flight table: the slot
+/// respawns once and the rows requeue onto it, so each answer is still
+/// bitwise the single-process one, and counted once.
+#[test]
+fn failed_batched_write_requeues_every_row_it_carried() {
+    // Warm-up writes at most 2 Configures and 8 one-query writes; the
+    // pipelined waves below write at least twice each.
+    const ARMED_WRITE: u64 = 16;
+    const WAVES: usize = 12;
+    const WAVE: usize = 8;
+    let net = Arc::new(build_net(0xBA7C4, 2, 6));
+    let plans = plan_family(&net, 0xBA7C4);
+    let mix = request_mix(0xBA7C4, WAVES * WAVE, plans.len());
+    let expect = single_process_reference(&net, &plans, &mix);
+
+    let chaos = install(ChaosSchedule::new(0xBA7C4).on_hit(
+        "fleet::send",
+        ChaosAction::Reject,
+        ARMED_WRITE,
+    ));
+    let cfg = FleetConfig {
+        serve: ServeConfig {
+            record_log: true,
+            ..ServeConfig::default()
+        },
+        ..FleetConfig::default()
+    };
+    let fleet = FleetRouter::start(cfg, 2, spawner()).unwrap();
+    let ids: Vec<_> = plans
+        .iter()
+        .map(|p| fleet.register_hot(&net, p, 1.0).unwrap())
+        .collect();
+    // Warm-up: one query per (plan, worker), one at a time.
+    let mut warm = 0u64;
+    for id in &ids {
+        for _ in 0..2 {
+            fleet.query(*id, &[0.25; 3]).expect("warm-up answers");
+            warm += 1;
+        }
+    }
+    assert_eq!(chaos.fired("fleet::send"), 0, "armed write hit in warm-up");
+
+    for (w, wave) in mix.chunks(WAVE).enumerate() {
+        let handles: Vec<_> = wave
+            .iter()
+            .map(|(p, input)| fleet.submit(ids[*p], input.clone()))
+            .collect();
+        for (k, h) in handles.into_iter().enumerate() {
+            let at = w * WAVE + k;
+            let got = h
+                .wait()
+                .unwrap_or_else(|e| panic!("query {at} lost to the failed write: {e}"));
+            assert_eq!(
+                got.to_bits(),
+                expect[at].to_bits(),
+                "query {at} answered wrongly"
+            );
+        }
+    }
+    assert_eq!(chaos.fired("fleet::send"), 1, "the armed write never fired");
+
+    let audit = fleet.audit();
+    assert!(audit.clean(), "a surviving log failed replay");
+    let stats = fleet.shutdown();
+    assert_eq!(stats.respawns, 1, "one failed write, one respawn");
+    assert!(stats.requeues >= 1, "the failed write carried no rows");
+    assert_eq!(stats.worker_quarantines, 0);
+    assert_eq!(
+        stats.answers,
+        warm + mix.len() as u64,
+        "every query answered exactly once across the failed write"
+    );
 }

@@ -9,8 +9,8 @@
 //!   (a capacity that is not positive, zero batch or queue sizes,
 //!   out-of-range plan strikes) decodes to `Malformed`;
 //! * **live worker leg** — a *real* worker process (re-invocation of
-//!   this binary) fed garbage or such values over its socket replies
-//!   `Bye` with a nonzero reason, resets the connection, and exits with
+//!   this binary) fed garbage, such values, or net bytes that do not
+//!   decode over its socket replies `Bye` with a nonzero reason, resets the connection, and exits with
 //!   the clean protocol-error code (1) — not a panic (101) — with nothing
 //!   panicking on stderr. A clean close at a frame boundary exits 0.
 
@@ -406,50 +406,80 @@ fn live_worker_survives_garbage_with_typed_reset() {
     );
 }
 
-/// A well-formed `Register` with capacity 0 — which would panic
-/// `CompiledPlan::compile` — gets the garbage treatment: a reasoned `Bye`
-/// and exit 1, not a panic (exit 101).
+/// Well-formed frames the worker cannot act on get the garbage
+/// treatment — a reasoned `Bye` and exit 1, not a panic (exit 101) or a
+/// silent close: a `Register` with capacity 0 (which would panic
+/// `CompiledPlan::compile`), a `Register` whose net is 40 zero bytes, and
+/// a `Shard` whose net bytes are a truncated image.
 #[test]
 fn live_worker_rejects_zero_capacity_with_typed_reset() {
-    let listener = FleetListener::bind(Transport::Unix).expect("bind");
-    let mut child = spawn_live_worker(&listener.addr());
-    let mut conn = listener.accept().expect("worker dials in");
-    match read_message(&mut conn).expect("hello") {
-        Message::Hello { worker: 0, gen: 0 } => {}
-        other => panic!("expected Hello, got {other:?}"),
-    }
-    // A real net and plan, so only the capacity is wrong.
+    // A real net and plan, so only the named field is wrong.
     let net = MlpBuilder::new(2)
         .dense(3, Activation::Sigmoid { k: 1.0 })
         .build(&mut neurofail::data::rng::rng(1));
-    let register = Message::Register {
+    let net_bytes = neurofail::nn::net_to_bytes(&net);
+    let plan_bytes = neurofail::fleet::proto::plan_to_bytes(&InjectionPlan::crash([(0, 0)]));
+    let register = |net: Vec<u8>, capacity: f64| Message::Register {
         plan: 0,
-        net: neurofail::nn::net_to_bytes(&net),
-        plan_bytes: neurofail::fleet::proto::plan_to_bytes(&InjectionPlan::crash([(0, 0)])),
-        capacity: 0.0,
+        net,
+        plan_bytes: plan_bytes.clone(),
+        capacity,
     };
-    write_message(&mut conn, &register).unwrap();
-    match read_message(&mut conn) {
-        Ok(Message::Bye { code }) => assert_ne!(code, 0, "a rejection is no graceful goodbye"),
-        other => panic!("expected Bye, got {other:?}"),
+    let cases = [
+        ("zero capacity", register(net_bytes.clone(), 0.0)),
+        ("zeroed net", register(vec![0u8; 40], 1.0)),
+        (
+            "undecodable shard net",
+            Message::Shard {
+                job: 0,
+                shard: 0,
+                net: net_bytes[..16].to_vec(),
+                counts: vec![1],
+                kind: TrialKind::Neurons(FaultSpec::Crash),
+                cfg: CampaignConfig {
+                    trials: 4,
+                    inputs_per_trial: 2,
+                    seed: 1,
+                    capacity: 1.0,
+                },
+                first: 0,
+                count: 4,
+            },
+        ),
+    ];
+    for (case, frame) in cases {
+        let listener = FleetListener::bind(Transport::Unix).expect("bind");
+        let mut child = spawn_live_worker(&listener.addr());
+        let mut conn = listener.accept().expect("worker dials in");
+        match read_message(&mut conn).expect("hello") {
+            Message::Hello { worker: 0, gen: 0 } => {}
+            other => panic!("{case}: expected Hello, got {other:?}"),
+        }
+        write_message(&mut conn, &frame).unwrap();
+        match read_message(&mut conn) {
+            Ok(Message::Bye { code }) => {
+                assert_ne!(code, 0, "{case}: a rejection is no graceful goodbye")
+            }
+            other => panic!("{case}: expected Bye, got {other:?}"),
+        }
+        let status = wait_with_deadline(&mut child);
+        assert_eq!(
+            status.code(),
+            Some(1),
+            "{case}: rejection exits the clean error path"
+        );
+        let mut stderr = String::new();
+        child
+            .stderr
+            .take()
+            .expect("piped stderr")
+            .read_to_string(&mut stderr)
+            .expect("read stderr");
+        assert!(
+            !stderr.contains("panicked"),
+            "{case}: worker panicked:\n{stderr}"
+        );
     }
-    let status = wait_with_deadline(&mut child);
-    assert_eq!(
-        status.code(),
-        Some(1),
-        "rejection exits the clean error path"
-    );
-    let mut stderr = String::new();
-    child
-        .stderr
-        .take()
-        .expect("piped stderr")
-        .read_to_string(&mut stderr)
-        .expect("read stderr");
-    assert!(
-        !stderr.contains("panicked"),
-        "worker panicked on a zero capacity:\n{stderr}"
-    );
 }
 
 /// A clean close at a frame boundary is a graceful goodbye: exit 0,
