@@ -9,15 +9,13 @@
 //! makespan) lives in `neurofail-distsim::boost`; this module computes the
 //! quorum table.
 
-use serde::{Deserialize, Serialize};
-
 use crate::budget::EpsilonBudget;
 use crate::crash::crash_tolerates;
 use crate::profile::{FaultClass, NetworkProfile};
 use crate::tolerance::greedy_max_faults;
 
 /// The per-layer wait quotas implied by a crash distribution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuorumTable {
     /// The admissible crash distribution backing the table.
     pub faults: Vec<usize>,

@@ -4,10 +4,8 @@
 //! *over-provisioned* ε-approximation; every tolerance bound in the paper
 //! compares a propagated error against the slack `ε − ε'`.
 
-use serde::{Deserialize, Serialize};
-
 /// A validated pair `(ε, ε')` with `0 < ε' ≤ ε`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpsilonBudget {
     eps: f64,
     eps_prime: f64,

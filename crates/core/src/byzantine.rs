@@ -6,8 +6,6 @@
 //! tolerates even one Byzantine neuron (Lemma 1) — here that appears as
 //! `Fep = +inf` whenever capacity is unbounded and any `f_l > 0`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::budget::EpsilonBudget;
 use crate::fep::{fep, fep_for};
 use crate::profile::{FaultClass, NetworkProfile};
@@ -69,8 +67,8 @@ pub fn max_faults_in_layer(
     by_budget.min(n_l)
 }
 
-/// A serialisable verdict for one distribution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// A tolerance verdict for one distribution.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ToleranceVerdict {
     /// The distribution checked.
     pub faults: Vec<usize>,
@@ -160,16 +158,12 @@ mod tests {
     }
 
     #[test]
-    fn verdict_round_trips() {
+    fn verdict_agrees_with_tolerates_and_reports_slack() {
         let p = NetworkProfile::uniform(2, 8, 0.05, 1.0, 1.0);
-        // Exactly-representable budget so the JSON round-trip is bitwise.
         let b = budget(0.375, 0.125);
         let v = verdict(&p, &[2, 1], b, FaultClass::Byzantine);
         assert_eq!(v.tolerated, tolerates(&p, &[2, 1], b));
         assert!((v.slack - 0.25).abs() < 1e-15);
-        let json = serde_json::to_string(&v).unwrap();
-        let back: ToleranceVerdict = serde_json::from_str(&json).unwrap();
-        assert_eq!(v, back);
     }
 
     proptest! {

@@ -1,14 +1,12 @@
 //! One-call robustness certification.
 //!
-//! [`certify`] bundles every bound in the crate into a single serialisable
-//! report for a `(profile, ε, ε')` triple: per-layer and packed crash /
-//! Byzantine tolerances (Theorems 1 & 3), synapse tolerances (Theorem 4,
-//! Lemma-2 form), the boosting quorum table (Corollary 2), and the maximum
-//! uniform per-neuron implementation error (Theorem 5). This is the API a
+//! [`certify`] bundles every bound in the crate into a single report for a
+//! `(profile, ε, ε')` triple: per-layer and packed crash / Byzantine
+//! tolerances (Theorems 1 & 3), synapse tolerances (Theorem 4, Lemma-2
+//! form), the boosting quorum table (Corollary 2), and the maximum uniform
+//! per-neuron implementation error (Theorem 5). This is the API a
 //! deployment pipeline would call before shipping a trained network to
 //! unreliable hardware.
-
-use serde::{Deserialize, Serialize};
 
 use crate::boosting::QuorumTable;
 use crate::budget::EpsilonBudget;
@@ -20,7 +18,7 @@ use crate::synapse::{synapse_fep, SynapseBoundForm};
 use crate::tolerance::greedy_max_faults;
 
 /// The full certificate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Certificate {
     /// Accuracy demanded of the deployed network (Definition 1's ε).
     pub eps: f64,
@@ -196,7 +194,7 @@ mod tests {
     }
 
     #[test]
-    fn display_and_serde() {
+    fn display_renders_the_certificate() {
         let p = NetworkProfile::from_mlp(
             &neurofail_nn::builder::MlpBuilder::new(3)
                 .dense(6, neurofail_nn::Activation::Sigmoid { k: 1.0 })
@@ -208,13 +206,9 @@ mod tests {
             Capacity::Bounded(1.0),
         )
         .unwrap();
-        // Exactly-representable budget so the JSON round-trip is bitwise.
         let cert = certify(&p, budget(0.5, 0.25));
         let text = format!("{cert}");
         assert!(text.contains("Robustness certificate"));
         assert!(text.contains("boosting quorums"));
-        let json = serde_json::to_string_pretty(&cert).unwrap();
-        let back: Certificate = serde_json::from_str(&json).unwrap();
-        assert_eq!(cert, back);
     }
 }

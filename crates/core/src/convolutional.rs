@@ -13,7 +13,6 @@
 //! difference and packages the comparison used by experiment E13.
 
 use neurofail_nn::Topology;
-use serde::{Deserialize, Serialize};
 
 use crate::budget::EpsilonBudget;
 use crate::profile::{Capacity, FaultClass, NetworkProfile, ProfileError};
@@ -30,7 +29,7 @@ pub fn distinct_weight_count(stats: &neurofail_nn::topology::LayerStats) -> usiz
 
 /// Per-layer structural summary of where the Section VI advantage comes
 /// from.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConvAdvantage {
     /// Distinct weight count per layer (`R(l)` or dense fan-in × N).
     pub distinct_weights: Vec<usize>,

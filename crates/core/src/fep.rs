@@ -20,8 +20,6 @@
 //! robustness is thin), and a log-space variant for very deep/wide profiles
 //! whose products overflow `f64`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::profile::{FaultClass, NetworkProfile};
 
 /// `Fep` for a Byzantine per-layer fault distribution `(f_l)` (Theorem 2
@@ -214,7 +212,7 @@ fn log_sum_exp(xs: &[f64]) -> f64 {
 
 /// A rendered Fep analysis: the bound, its per-layer decomposition, and the
 /// dominant layer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FepBreakdown {
     /// Total `Fep`.
     pub total: f64,

@@ -19,12 +19,10 @@
 //! more (an extra `K_l` factor) — exposed as [`ErrorLocus::PreActivation`].
 //! We default to the statement.
 
-use serde::{Deserialize, Serialize};
-
 use crate::profile::NetworkProfile;
 
 /// Where the per-neuron implementation error `λ_l` enters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrorLocus {
     /// On the neuron's output `y_j` (Theorem 5 as printed). Quantising
     /// stored activations matches this locus.

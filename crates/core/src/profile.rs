@@ -13,10 +13,9 @@
 //! are equal. All bound functions document both forms.
 
 use neurofail_nn::{Mlp, Topology};
-use serde::{Deserialize, Serialize};
 
 /// Synaptic transmission capacity — the paper's Assumption 1.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Capacity {
     /// Transmission bounded by `C` in absolute value.
     Bounded(f64),
@@ -41,7 +40,7 @@ impl Capacity {
 }
 
 /// Profile of one layer of neurons (paper layer `l`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LayerProfile {
     /// `N_l`: number of (failable) neurons. Constant bias neurons are not
     /// counted — they cannot fail and do not propagate error.
@@ -86,7 +85,7 @@ impl std::error::Error for ProfileError {}
 
 /// The complete bound input: per-layer profiles, output synapse max, the
 /// transmission capacity `C` and the activation supremum.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetworkProfile {
     /// One entry per paper layer `1..=L`.
     pub layers: Vec<LayerProfile>,
@@ -267,7 +266,7 @@ impl NetworkProfile {
 
 /// The neuron-failure semantics of Definition 2, plus the strict Byzantine
 /// accounting (a reproduction finding — see below).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultClass {
     /// Crash: the neuron stops sending; others read `y = 0`. Worst-case
     /// per-fault magnitude is `sup |ϕ|` (the lost nominal output).

@@ -33,13 +33,11 @@
 //! validates against `Lemma2`; `Verbatim` is kept for fidelity and for the
 //! EXPERIMENTS.md comparison.
 
-use serde::{Deserialize, Serialize};
-
 use crate::budget::EpsilonBudget;
 use crate::profile::NetworkProfile;
 
 /// Which formula to evaluate (see module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SynapseBoundForm {
     /// The paper's Theorem 4 formula, verbatim.
     Verbatim,

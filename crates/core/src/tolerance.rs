@@ -23,8 +23,6 @@
 //! to per-candidate [`crate::fep::fep_for`] calls, so search results are unchanged —
 //! only the evaluation rate differs (see the `tolerance_search` bench).
 
-use serde::{Deserialize, Serialize};
-
 use crate::budget::EpsilonBudget;
 use crate::fep::{fep_for_into, increment_feps};
 use crate::profile::{FaultClass, NetworkProfile};
@@ -83,7 +81,7 @@ pub fn is_maximal(
 }
 
 /// Result of an exact search.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExactSearch {
     /// A distribution attaining the maximum total.
     pub witness: Vec<usize>,

@@ -9,8 +9,6 @@
 //! gain-scheduling. It is exactly the kind of `C([0,1]^3, [0,1])` target the
 //! paper's Definition 1 quantifies over.
 
-use serde::{Deserialize, Serialize};
-
 use crate::functions::TargetFn;
 
 /// Normalised pitch-command surface `u = F(α, q, V)`.
@@ -25,7 +23,7 @@ use crate::functions::TargetFn;
 /// `u = 0.5 + 0.5·tanh( g(V) · (k_α·(α−α₀) + k_q·(q−q₀)) )`,
 /// with the gain `g` decreasing in airspeed (control surfaces are more
 /// effective at speed, so commanded deflection shrinks).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct PitchController {
     /// Proportional gain on angle-of-attack error.
     pub k_alpha: f64,
@@ -78,7 +76,7 @@ impl TargetFn for PitchController {
 /// `x[2]` = pulse width, `x[3]` = sweep angle. Output: probability that the
 /// return is a target rather than clutter — a smooth bump in
 /// (amplitude, Doppler) modulated by pulse width, with a slow angular term.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct RadarReturn {
     /// Sharpness of the clutter/target separation.
     pub sharpness: f64,

@@ -3,7 +3,6 @@
 use neurofail_tensor::Matrix;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::functions::TargetFn;
 use crate::rng::DetRng;
@@ -12,7 +11,7 @@ use crate::rng::DetRng;
 ///
 /// Inputs are stored as an `n × d` row-major matrix so mini-batch forward
 /// passes stream rows contiguously.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     inputs: Matrix,
     targets: Vec<f64>,

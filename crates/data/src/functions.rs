@@ -7,8 +7,6 @@
 
 use std::f64::consts::PI;
 
-use serde::{Deserialize, Serialize};
-
 /// A continuous target function on the unit hypercube, mapping into `[0,1]`.
 ///
 /// This is the space `A = C([0,1]^d, [0,1])` of the paper's Definition 1.
@@ -38,7 +36,7 @@ fn unit(v: f64) -> f64 {
 /// Ridge functions are the canonical members of the class for which Barron's
 /// approximation bound `N_min(ε) = Θ(1/ε)` (cited by the paper's
 /// over-provisioning discussion, Section II-C) is tight.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Ridge {
     /// Direction vector `a` (defines `d`).
     pub direction: Vec<f64>,
@@ -86,7 +84,7 @@ impl TargetFn for Ridge {
 }
 
 /// Isotropic Gaussian bump centred at `c`: `exp(−‖x−c‖² / 2σ²)`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GaussianBump {
     /// Centre of the bump (defines `d`).
     pub center: Vec<f64>,
@@ -126,7 +124,7 @@ impl TargetFn for GaussianBump {
 
 /// Separable sine product `Π_i (1 + sin(2π ω x_i + φ)) / 2`, a smooth
 /// oscillatory target exercising every input coordinate.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SineProduct {
     /// Input dimension.
     pub d: usize,
@@ -168,7 +166,7 @@ impl TargetFn for SineProduct {
 /// Smooth two-input XOR: the function Minsky used against single-layer
 /// perceptrons (paper Section I), mollified to be continuous on `[0,1]²`
 /// and extended to `d` inputs by pairing coordinates.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SmoothXor {
     /// Input dimension (pairs of coordinates are XOR-ed; odd tail ignored).
     pub d: usize,
@@ -217,7 +215,7 @@ impl TargetFn for SmoothXor {
 /// Multivariate polynomial `Σ_i c_i x_i + Σ_i q_i x_i²`, affinely rescaled
 /// into `[0,1]` by its exact extrema over the cube (coordinate-separable, so
 /// the extrema are per-coordinate).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Quadratic {
     /// Linear coefficients (defines `d`).
     pub linear: Vec<f64>,
@@ -283,7 +281,7 @@ impl TargetFn for Quadratic {
 
 /// The constant-½ function; the degenerate baseline (any network with zero
 /// output weights and a 0.5 bias realises it with ε' = 0).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ConstantHalf {
     /// Input dimension.
     pub d: usize,

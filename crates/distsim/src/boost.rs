@@ -19,12 +19,11 @@ use neurofail_data::rng::DetRng;
 use neurofail_inject::executor::CompiledPlan;
 use neurofail_inject::plan::InjectionPlan;
 use neurofail_nn::{Mlp, Workspace};
-use serde::{Deserialize, Serialize};
 
 use crate::latency::LatencyModel;
 
 /// Outcome of one boosted execution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BoostRun {
     /// Output value under the boosting scheme.
     pub output: f64,

@@ -9,10 +9,9 @@
 
 use neurofail_data::rng::DetRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A latency distribution (all in abstract time units, strictly positive).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LatencyModel {
     /// Every neuron takes exactly `t`.
     Constant(f64),

@@ -16,10 +16,9 @@
 use neurofail_inject::executor::CompiledPlan;
 use neurofail_inject::plan::InjectionPlan;
 use neurofail_nn::{Mlp, Workspace};
-use serde::{Deserialize, Serialize};
 
 /// Telemetry of one synchronous execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RoundStats {
     /// Communication rounds executed (`L + 1`: one per synapse stage).
     pub rounds: usize,
@@ -30,7 +29,7 @@ pub struct RoundStats {
 }
 
 /// Result of a synchronous run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoundRun {
     /// The output client's value.
     pub output: f64,

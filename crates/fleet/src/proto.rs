@@ -1187,6 +1187,10 @@ mod tests {
             InjectionPlan::none(),
             InjectionPlan::crash([(0, 1), (3, 2)]),
             InjectionPlan::stuck_at([((1, 1), -0.5)]),
+            InjectionPlan::byzantine([(1, 2)], ByzantineStrategy::MaxPositive),
+            InjectionPlan::byzantine([(0, 0)], ByzantineStrategy::MaxNegative),
+            InjectionPlan::byzantine([(2, 3)], ByzantineStrategy::OpposeNominal),
+            InjectionPlan::byzantine([(1, 2)], ByzantineStrategy::Random { seed: 9 }),
             InjectionPlan {
                 neurons: vec![],
                 synapses: vec![

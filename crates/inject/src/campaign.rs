@@ -13,14 +13,13 @@ use neurofail_data::rng::rng as det_rng;
 use neurofail_nn::{BatchWorkspace, Mlp};
 use neurofail_par::{parallel_map, Parallelism, SeedSequence};
 use neurofail_tensor::{Matrix, OnlineStats};
-use serde::{Deserialize, Serialize};
 
 use crate::executor::CompiledPlan;
 use crate::plan::InjectionPlan;
 use crate::sampler::{sample_neuron_plan, sample_synapse_plan, FaultSpec};
 
 /// Campaign parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CampaignConfig {
     /// Number of independent fault plans to draw.
     pub trials: usize,
@@ -50,7 +49,7 @@ impl Default for CampaignConfig {
 /// singleton batch), while `trial` + `seed` re-derive the plan and the
 /// whole input stream of the offending trial from scratch — without
 /// rerunning the campaign (see `replaying_a_worst_case_from_its_seed`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorstCase {
     /// The disturbance `|F_neu − F_fail|`.
     pub error: f64,
@@ -68,7 +67,7 @@ pub struct WorstCase {
 }
 
 /// Aggregated campaign outcome.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CampaignResult {
     /// Moments and extrema of the observed disturbances.
     pub stats: neurofail_tensor::Summary,
@@ -86,7 +85,7 @@ impl CampaignResult {
 }
 
 /// What the campaign injects each trial.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TrialKind {
     /// Neuron faults with per-layer counts and a fault spec.
     Neurons(FaultSpec),

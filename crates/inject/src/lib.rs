@@ -3,7 +3,7 @@
 //! The fault-injection engine of the `neurofail` workspace — the
 //! experimental counterpart of `neurofail-core`'s analytic bounds:
 //!
-//! * [`plan`] — serialisable injection plans: crash / Byzantine / stuck-at
+//! * [`plan`] — injection plans as pure data: crash / Byzantine / stuck-at
 //!   **neurons** (the paper's Definition 2) and crash / Byzantine
 //!   **synapses** (Section II-A, Lemma 2), all under the capacity clamp of
 //!   Assumption 1.
@@ -69,12 +69,6 @@ pub use campaign::{
 pub use executor::{CompiledPlan, PlanError};
 pub use ir::{AdmissionStats, PlanIr};
 pub use multi::{output_error_many, MultiPlanEvaluator};
-/// Compute-backend selection, re-exported so injection campaigns can pin
-/// or scope the kernel backend without depending on the tensor crate
-/// directly (see [`neurofail_tensor::backend`]).
-pub use neurofail_tensor::backend::{
-    active_kind, detected_features, force_backend, supported_kinds, with_backend, BackendKind,
-};
 pub use plan::{ByzantineStrategy, InjectionPlan, NeuronFault, SynapseFault};
 pub use planner::{Engine, Planner, PlannerStats, RequestMix};
 pub use registry::{PlanId, PlanRegistry, RegisteredPlan};

@@ -1,17 +1,16 @@
 //! Injection plans: *which* components fail *how*.
 //!
-//! A plan is pure data (serialisable, hashable into reports) naming faulty
-//! neurons and synapses with their failure semantics, mirroring the paper's
-//! Definition 2 (crash / Byzantine neurons) and Section II-A's synapse
-//! fault model (crashed synapse ≙ weight 0; Byzantine synapse ≙ bounded
-//! arbitrary transmission).
-
-use serde::{Deserialize, Serialize};
+//! A plan is pure data (hashable into reports; the fleet wire encodes it
+//! with `plan_to_bytes`) naming faulty neurons and synapses with their
+//! failure semantics, mirroring the paper's Definition 2 (crash /
+//! Byzantine neurons) and Section II-A's synapse fault model (crashed
+//! synapse ≙ weight 0; Byzantine synapse ≙ bounded arbitrary
+//! transmission).
 
 /// How a Byzantine neuron picks the value it sends (always delivered
 /// clamped to the synaptic capacity ±C — Assumption 1 is enforced by the
 /// channel, not trusted to the adversary).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ByzantineStrategy {
     /// Send +C.
     MaxPositive,
@@ -30,7 +29,7 @@ pub enum ByzantineStrategy {
 }
 
 /// Failure semantics for one neuron (Definition 2).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum NeuronFault {
     /// The neuron stops sending; receivers read `y = 0`.
     Crash,
@@ -44,7 +43,7 @@ pub enum NeuronFault {
 
 /// A faulty neuron: `layer` is 0-based (code convention; paper layer
 /// `layer + 1`), `neuron` indexes within the layer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NeuronSite {
     /// 0-based layer index.
     pub layer: usize,
@@ -55,7 +54,7 @@ pub struct NeuronSite {
 }
 
 /// Which synapse fails.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SynapseTarget {
     /// Synapse from neuron `from` (of layer `layer − 1`, or the input for
     /// `layer == 0`) into neuron `to` of 0-based layer `layer`.
@@ -75,7 +74,7 @@ pub enum SynapseTarget {
 }
 
 /// Failure semantics for one synapse.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SynapseFault {
     /// Stops transmitting: the contribution `w·y` is removed (weight 0).
     Crash,
@@ -85,7 +84,7 @@ pub enum SynapseFault {
 }
 
 /// A faulty synapse.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SynapseSite {
     /// Which synapse.
     pub target: SynapseTarget,
@@ -94,7 +93,7 @@ pub struct SynapseSite {
 }
 
 /// A complete injection plan.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct InjectionPlan {
     /// Faulty neurons.
     pub neurons: Vec<NeuronSite>,
@@ -236,13 +235,5 @@ mod tests {
     fn out_of_depth_sites_are_ignored_in_counts() {
         let p = InjectionPlan::crash([(7, 0)]);
         assert_eq!(p.neuron_counts(2), vec![0, 0]);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let p = InjectionPlan::byzantine([(1, 2)], ByzantineStrategy::Random { seed: 9 });
-        let json = serde_json::to_string(&p).unwrap();
-        let back: InjectionPlan = serde_json::from_str(&json).unwrap();
-        assert_eq!(p, back);
     }
 }

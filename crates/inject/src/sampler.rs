@@ -8,7 +8,6 @@ use neurofail_data::rng::DetRng;
 use neurofail_nn::Mlp;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::plan::{
     ByzantineStrategy, InjectionPlan, NeuronFault, NeuronSite, SynapseFault, SynapseSite,
@@ -16,7 +15,7 @@ use crate::plan::{
 };
 
 /// What kind of fault the sampled neurons exhibit.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultSpec {
     /// All sampled neurons crash.
     Crash,

@@ -14,10 +14,8 @@
 //! are deliberately *outside* the paper's assumptions (unbounded), included
 //! so experiments can show which bounds break without boundedness.
 
-use serde::{Deserialize, Serialize};
-
 /// An elementwise activation function ϕ with known analytic constants.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Activation {
     /// K-tuned logistic squashing function `ϕ(x) = 1 / (1 + e^(−4Kx))`.
     ///

@@ -12,7 +12,6 @@
 
 use neurofail_tensor::{init::Init, Matrix};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::activation::Activation;
 
@@ -46,7 +45,7 @@ fn ensure_shape(m: &mut Matrix, rows: usize, cols: usize) {
 /// 1-D convolutional layer: `channels` kernels of width `width` slide over a
 /// length-`in_len` signal, producing `channels × (in_len − width + 1)`
 /// neurons (channel-major flattening).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Conv1dLayer {
     /// One kernel per row: `channels × width`.
     pub(crate) kernels: Matrix,

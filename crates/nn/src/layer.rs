@@ -9,12 +9,11 @@
 
 use neurofail_tensor::{init::Init, Matrix};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::activation::Activation;
 
 /// A dense layer: `out = ϕ(W·in + b)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DenseLayer {
     /// Weight matrix, `out_dim × in_dim` (`w_ji` at row `j`, column `i`).
     pub(crate) weights: Matrix,

@@ -12,14 +12,13 @@
 //! outputs exactly where the paper's Definition 2 places failures.
 
 use neurofail_tensor::{ops, Matrix};
-use serde::{Deserialize, Serialize};
 
 use crate::activation::Activation;
 use crate::conv::Conv1dLayer;
 use crate::layer::DenseLayer;
 
 /// One layer of neurons (paper layer `l ∈ {1, …, L}`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Layer {
     /// Fully connected layer.
     Dense(DenseLayer),
@@ -310,7 +309,7 @@ impl BatchWorkspace {
 }
 
 /// A feed-forward multilayer network with a linear output client node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mlp {
     pub(crate) layers: Vec<Layer>,
     /// Output-node weights `w^(L+1)` (one per last-layer neuron).
@@ -1071,15 +1070,6 @@ mod tests {
             0.0,
         );
         let _ = net.replicate(2);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let net = linear_net();
-        let json = serde_json::to_string(&net).unwrap();
-        let back: Mlp = serde_json::from_str(&json).unwrap();
-        assert_eq!(net, back);
-        assert_eq!(net.forward(&[0.3, -0.7]), back.forward(&[0.3, -0.7]));
     }
 
     #[test]

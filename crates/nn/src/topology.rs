@@ -6,12 +6,10 @@
 //! `(L, (N_l), (w_m^(l)), K, sup ϕ)` that `neurofail-core` feeds into
 //! Theorems 1–5.
 
-use serde::{Deserialize, Serialize};
-
 use crate::network::Mlp;
 
 /// Per-layer statistics for paper layer `l` (code index `l-1`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LayerStats {
     /// Number of neurons `N_l`.
     pub neurons: usize,
@@ -34,7 +32,7 @@ pub struct LayerStats {
 }
 
 /// Statistics of the output node's incoming synapse set (`w^(L+1)`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OutputStats {
     /// Fan-in `N_L`.
     pub fan_in: usize,
@@ -43,7 +41,7 @@ pub struct OutputStats {
 }
 
 /// Complete topological summary of a network.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
     /// Input dimension `d`.
     pub input_dim: usize,

@@ -1,9 +1,7 @@
 //! Scalar-output loss functions.
 
-use serde::{Deserialize, Serialize};
-
 /// Loss on the network's scalar output.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Loss {
     /// Squared error `(ŷ − y)²`. The workspace default: the paper's
     /// ε-approximation criterion is a sup-norm on exactly this residual.

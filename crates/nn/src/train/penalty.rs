@@ -13,10 +13,8 @@
 //! actively shaves the exact quantity the robustness bound multiplies.
 //! Experiment E15 measures the robustness gained versus plain training.
 
-use serde::{Deserialize, Serialize};
-
 /// Configuration of the Fep-aware penalty.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FepPenalty {
     /// Penalty strength λ (0 disables).
     pub strength: f64,

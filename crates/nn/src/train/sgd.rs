@@ -2,7 +2,6 @@
 
 use neurofail_data::{rng::DetRng, Dataset};
 use neurofail_tensor::Matrix;
-use serde::{Deserialize, Serialize};
 
 use crate::network::{Layer, Mlp, Workspace};
 use crate::train::grads::{accumulate_example, BackpropWs, BatchBackpropWs, Grads};
@@ -14,7 +13,7 @@ use crate::train::penalty::FepPenalty;
 /// produce gradients that agree to ≤ 1e-10 per step; they differ only in
 /// arithmetic staging. The per-sample engine is retained as the reference
 /// for equivalence testing and for debugging single examples.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TrainEngine {
     /// Minibatch-GEMM backpropagation ([`Mlp::backward_batch`]): one GEMM +
     /// one vectorised elementwise sweep per layer per batch, in both
@@ -27,7 +26,7 @@ pub enum TrainEngine {
 }
 
 /// SGD hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainConfig {
     /// Learning rate.
     pub lr: f64,
@@ -62,7 +61,7 @@ impl Default for TrainConfig {
 }
 
 /// Per-epoch training trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainReport {
     /// Mean squared training error after each epoch.
     pub epoch_mse: Vec<f64>,

@@ -7,10 +7,8 @@
 //! `±(2^int_bits − step)`. Inside the representable range the rounding
 //! error is at most `step / 2` — the `λ` that Theorem 5 propagates.
 
-use serde::{Deserialize, Serialize};
-
 /// A symmetric fixed-point format `Q(int_bits).(frac_bits)` (plus sign).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FixedPoint {
     /// Integer bits (range `±2^int_bits`).
     pub int_bits: u32,

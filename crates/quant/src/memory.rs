@@ -8,10 +8,9 @@
 
 use neurofail_nn::network::Layer;
 use neurofail_nn::Mlp;
-use serde::{Deserialize, Serialize};
 
 /// Bit budget of a deployment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoryReport {
     /// Stored weight values (incl. biases and output weights).
     pub weight_values: u64,

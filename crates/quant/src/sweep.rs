@@ -11,14 +11,13 @@ use neurofail_core::precision::{precision_bound, ErrorLocus};
 use neurofail_core::profile::NetworkProfile;
 use neurofail_nn::{BatchWorkspace, Mlp};
 use neurofail_tensor::Matrix;
-use serde::{Deserialize, Serialize};
 
 use crate::fixed::FixedPoint;
 use crate::memory::memory_report;
 use crate::network::{activation_lambdas, quantization_error_batch_from_nominal};
 
 /// One row of the precision sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepRow {
     /// Fractional bits per activation.
     pub frac_bits: u32,

@@ -116,12 +116,6 @@ pub use config::ServeConfig;
 /// re-exported so deployments can build it without naming the inject
 /// crate.
 pub use neurofail_inject::{share_store, SharedArtifactStore};
-/// Compute-backend selection, re-exported so serving deployments can pin
-/// the kernel backend at startup (e.g. force portable for cross-fleet
-/// bitwise reproducibility) without a direct tensor-crate dependency.
-pub use neurofail_tensor::backend::{
-    active_kind, detected_features, force_backend, supported_kinds, BackendKind,
-};
 pub use replay::{LogEntry, ReplayError, RequestLog};
 pub use server::{
     CertServer, RequestError, ResponseHandle, RetryPolicy, ServedResponse, SubmitError,

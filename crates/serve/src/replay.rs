@@ -16,13 +16,12 @@
 
 use neurofail_inject::{PlanId, PlanRegistry};
 use neurofail_nn::BatchWorkspace;
-use serde::{Deserialize, Serialize};
 
 /// One served request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LogEntry {
     /// Registry index of the plan that served the request (the raw value
-    /// of its [`PlanId`]; serialised as a plain integer).
+    /// of its [`PlanId`]).
     pub plan: usize,
     /// Submission sequence number: globally unique and monotonically
     /// assigned across plans. Consecutive *served* entries may leave gaps
@@ -102,7 +101,7 @@ impl std::fmt::Display for ReplayError {
 impl std::error::Error for ReplayError {}
 
 /// A log of served requests, ordered by submission sequence number.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RequestLog {
     /// Entries sorted by `seq`.
     pub entries: Vec<LogEntry>,
@@ -258,21 +257,5 @@ mod tests {
             Err(ReplayError::UnknownPlan { seq: 3, plan: 9 })
         );
         assert!(log.verify(&reg).is_err());
-    }
-
-    #[test]
-    fn log_serde_roundtrip() {
-        let log = RequestLog {
-            entries: vec![LogEntry {
-                plan: 1,
-                seq: 42,
-                input: vec![0.25, -1.0],
-                value: 0.125,
-            }],
-        };
-        let json = serde_json::to_string(&log).unwrap();
-        let back: RequestLog = serde_json::from_str(&json).unwrap();
-        assert_eq!(log, back);
-        assert_eq!(back.entries[0].plan_id(), PlanId(1));
     }
 }

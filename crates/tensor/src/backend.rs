@@ -20,43 +20,33 @@
 //!   over packed right-hand-side panels. Its per-element accumulation
 //!   order is *identical* to the portable kernels (the logical `[f64; 8]`
 //!   lane accumulator maps to two `__m256d` registers and reduces with the
-//!   exact [`ops::dot_fma`] pairwise grouping), so Portable ↔ AVX2
-//!   agreement is **bitwise** — asserted by tests, and relied on by the
-//!   CI matrix that runs the full suite under both.
-//! * [`BackendKind::Avx512`] — the same microkernel shape widened to
-//!   `__m512d` accumulators, compiled behind the `avx512` cargo feature
-//!   (default-on). It is implemented order-identically today, but the
-//!   documented contract is the conservative ≤ 1e-12 envelope against
-//!   portable, leaving room to retile.
+//!   exact [`ops::dot_fma`] pairwise grouping).
 //!
 //! ## Determinism contract (contract 11)
 //!
-//! Within one backend, every kernel consumes its terms in a fixed
-//! per-element order: results are bitwise reproducible run-to-run and
-//! across `Parallelism` settings **per backend**. Across backends the
-//! baseline is ≤ 1e-12 of portable — with the
-//! single stronger claim that Portable ↔ AVX2 agree bitwise. Every kernel
-//! that multiplies activations or deltas applies the
-//! [`ops::SATURATION_FLUSH`] subnormal flush exactly as the portable
-//! kernels do (the flush lives in the shared elementwise impls, so no
-//! backend can drop it).
+//! Every backend reproduces portable bitwise: each kernel consumes its
+//! terms in the portable per-element order, so results are bitwise equal
+//! run-to-run, across `Parallelism` settings and across backends —
+//! asserted by tests, and relied on by the CI matrix that runs the full
+//! suite under `portable` and `auto`. Every kernel that multiplies
+//! activations or deltas applies the [`ops::SATURATION_FLUSH`] subnormal
+//! flush exactly as the portable kernels do (the flush lives in the shared
+//! elementwise impls, so no backend can drop it).
 //!
 //! ## Selection
 //!
-//! The default backend is chosen once, on first use, from the
-//! `NEUROFAIL_BACKEND` environment variable (`portable`, `avx2`,
-//! `avx512`, or `auto`), falling back to
-//! [`BackendKind::detect_best`] (best supported SIMD backend). Two
-//! override layers sit above the default:
+//! Two layers:
 //!
-//! * [`force_backend`] — a process-global override (used by the CI matrix
-//!   and benches);
 //! * [`with_backend`] — a thread-scoped override for in-process sweeps
-//!   (tests comparing backends side by side). It does **not** propagate to
-//!   threads spawned inside the closure.
+//!   (tests comparing backends side by side). Scopes nest, the innermost
+//!   winning; an override does **not** propagate to threads spawned
+//!   inside the closure;
+//! * below it, the process default, chosen once on first use from the
+//!   `NEUROFAIL_BACKEND` environment variable (`portable`, `avx2` or
+//!   `auto`), falling back to [`BackendKind::detect_best`] — see
+//!   [`default_kind`].
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
 use crate::matrix::Matrix;
@@ -64,31 +54,22 @@ use crate::ops;
 
 /// Identifies a compute-backend implementation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(u8)]
 pub enum BackendKind {
     /// The portable tiled kernels (reference backend, always supported).
-    Portable = 0,
+    Portable,
     /// 8×4 register-blocked AVX2+FMA microkernels over packed panels.
-    Avx2 = 1,
-    /// AVX-512 microkernels (requires the `avx512` cargo feature and
-    /// `avx512f` hardware support).
-    Avx512 = 2,
+    Avx2,
 }
 
 impl BackendKind {
     /// Every kind, in preference order for reporting.
-    pub const ALL: [BackendKind; 3] = [
-        BackendKind::Portable,
-        BackendKind::Avx2,
-        BackendKind::Avx512,
-    ];
+    pub const ALL: [BackendKind; 2] = [BackendKind::Portable, BackendKind::Avx2];
 
     /// Stable lower-case name (the `NEUROFAIL_BACKEND` vocabulary).
     pub fn name(self) -> &'static str {
         match self {
             BackendKind::Portable => "portable",
             BackendKind::Avx2 => "avx2",
-            BackendKind::Avx512 => "avx512",
         }
     }
 
@@ -99,18 +80,15 @@ impl BackendKind {
         match s.trim().to_ascii_lowercase().as_str() {
             "portable" => Ok(BackendKind::Portable),
             "avx2" => Ok(BackendKind::Avx2),
-            "avx512" => Ok(BackendKind::Avx512),
             "auto" | "" => Ok(BackendKind::detect_best()),
             other => Err(format!(
-                "unknown backend {other:?} (expected portable|avx2|avx512|auto)"
+                "unknown backend {other:?} (expected portable|avx2|auto)"
             )),
         }
     }
 
-    /// Whether this backend can run on the current machine/build.
-    ///
-    /// Portable is always supported. Avx2/Avx512 require runtime CPU
-    /// support; Avx512 additionally requires the `avx512` cargo feature.
+    /// Whether this backend can run on the current machine: portable
+    /// always, AVX2 where the CPU reports `avx2` and `fma`.
     pub fn is_supported(self) -> bool {
         match self {
             BackendKind::Portable => true,
@@ -125,26 +103,12 @@ impl BackendKind {
                     false
                 }
             }
-            BackendKind::Avx512 => {
-                #[cfg(all(target_arch = "x86_64", feature = "avx512"))]
-                {
-                    std::arch::is_x86_feature_detected!("avx512f")
-                        && BackendKind::Avx2.is_supported()
-                }
-                #[cfg(not(all(target_arch = "x86_64", feature = "avx512")))]
-                {
-                    false
-                }
-            }
         }
     }
 
-    /// The best supported backend: AVX-512 if available, else AVX2, else
-    /// portable.
+    /// The best supported backend: AVX2 if available, else portable.
     pub fn detect_best() -> BackendKind {
-        if BackendKind::Avx512.is_supported() {
-            BackendKind::Avx512
-        } else if BackendKind::Avx2.is_supported() {
+        if BackendKind::Avx2.is_supported() {
             BackendKind::Avx2
         } else {
             BackendKind::Portable
@@ -152,7 +116,7 @@ impl BackendKind {
     }
 }
 
-/// Every backend kind supported on this machine/build, in `ALL` order.
+/// Every backend kind supported on this machine, in `ALL` order.
 pub fn supported_kinds() -> Vec<BackendKind> {
     BackendKind::ALL
         .into_iter()
@@ -171,9 +135,6 @@ pub fn detected_features() -> Vec<&'static str> {
         }
         if std::arch::is_x86_feature_detected!("fma") {
             fs.push("fma");
-        }
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            fs.push("avx512f");
         }
     }
     fs
@@ -234,20 +195,10 @@ pub trait ComputeBackend: Send + Sync {
 
 /// Process-default backend, resolved once from `NEUROFAIL_BACKEND`.
 static DEFAULT: OnceLock<BackendKind> = OnceLock::new();
-/// Process-global override: 0 = unset, otherwise `kind as u8 + 1`.
-static FORCED: AtomicU8 = AtomicU8::new(0);
 
 thread_local! {
-    /// Thread-scoped override: 0 = unset, otherwise `kind as u8 + 1`.
-    static SCOPED: Cell<u8> = const { Cell::new(0) };
-}
-
-fn kind_from_u8(v: u8) -> BackendKind {
-    match v {
-        0 => BackendKind::Portable,
-        1 => BackendKind::Avx2,
-        _ => BackendKind::Avx512,
-    }
+    /// Thread-scoped override installed by [`with_backend`].
+    static SCOPED: Cell<Option<BackendKind>> = const { Cell::new(None) };
 }
 
 /// The process-default backend kind: `NEUROFAIL_BACKEND` if set (panics on
@@ -259,7 +210,7 @@ pub fn default_kind() -> BackendKind {
             let kind = BackendKind::parse(&v).unwrap_or_else(|e| panic!("NEUROFAIL_BACKEND: {e}"));
             assert!(
                 kind.is_supported(),
-                "NEUROFAIL_BACKEND={v}: backend {} is not supported on this machine/build",
+                "NEUROFAIL_BACKEND={v}: backend {} is not supported on this machine",
                 kind.name()
             );
             kind
@@ -268,59 +219,33 @@ pub fn default_kind() -> BackendKind {
     })
 }
 
-/// Install (or with `None`, clear) a process-global backend override.
-///
-/// # Panics
-/// If the requested backend is not supported on this machine/build.
-pub fn force_backend(kind: Option<BackendKind>) {
-    match kind {
-        Some(k) => {
-            assert!(
-                k.is_supported(),
-                "force_backend: {} is not supported on this machine/build",
-                k.name()
-            );
-            FORCED.store(k as u8 + 1, Ordering::SeqCst);
-        }
-        None => FORCED.store(0, Ordering::SeqCst),
-    }
-}
-
 /// The backend kind the *current thread* would dispatch to right now:
-/// thread-scoped override, then process-global override, then default.
+/// the innermost [`with_backend`] scope, else the process default.
 pub fn active_kind() -> BackendKind {
-    let scoped = SCOPED.with(|c| c.get());
-    if scoped != 0 {
-        return kind_from_u8(scoped - 1);
-    }
-    let forced = FORCED.load(Ordering::Relaxed);
-    if forced != 0 {
-        return kind_from_u8(forced - 1);
-    }
-    default_kind()
+    SCOPED.with(Cell::get).unwrap_or_else(default_kind)
 }
 
 /// Run `f` with `kind` as this thread's active backend, restoring the
 /// previous scope on exit (including on unwind). The override is
 /// thread-local: it does **not** propagate to threads spawned inside `f`,
 /// so parallel campaigns under `Parallelism::Threads` still dispatch each
-/// worker through the global selection.
+/// worker through the process default.
 ///
 /// # Panics
-/// If the requested backend is not supported on this machine/build.
+/// If the requested backend is not supported on this machine.
 pub fn with_backend<R>(kind: BackendKind, f: impl FnOnce() -> R) -> R {
     assert!(
         kind.is_supported(),
-        "with_backend: {} is not supported on this machine/build",
+        "with_backend: {} is not supported on this machine",
         kind.name()
     );
-    struct Restore(u8);
+    struct Restore(Option<BackendKind>);
     impl Drop for Restore {
         fn drop(&mut self) {
             SCOPED.with(|c| c.set(self.0));
         }
     }
-    let prev = SCOPED.with(|c| c.replace(kind as u8 + 1));
+    let prev = SCOPED.with(|c| c.replace(Some(kind)));
     let _restore = Restore(prev);
     f()
 }
@@ -328,23 +253,19 @@ pub fn with_backend<R>(kind: BackendKind, f: impl FnOnce() -> R) -> R {
 /// The backend instance for an explicit kind.
 ///
 /// # Panics
-/// If the kind is not supported on this machine/build.
+/// If the kind is not supported on this machine.
 pub fn backend_for(kind: BackendKind) -> &'static dyn ComputeBackend {
     assert!(
         kind.is_supported(),
-        "backend_for: {} is not supported on this machine/build",
+        "backend_for: {} is not supported on this machine",
         kind.name()
     );
     match kind {
         BackendKind::Portable => &PORTABLE,
         #[cfg(target_arch = "x86_64")]
         BackendKind::Avx2 => &AVX2,
-        #[cfg(all(target_arch = "x86_64", feature = "avx512"))]
-        BackendKind::Avx512 => &AVX512,
         #[cfg(not(target_arch = "x86_64"))]
         BackendKind::Avx2 => unreachable!("is_supported gated"),
-        #[cfg(not(all(target_arch = "x86_64", feature = "avx512")))]
-        BackendKind::Avx512 => unreachable!("is_supported gated"),
     }
 }
 
@@ -402,18 +323,20 @@ impl ComputeBackend for PortableBackend {
 }
 
 // ---------------------------------------------------------------------------
-// Shared packed-panel layout (AVX2 / AVX-512 GEMM-NT)
+// AVX2 + FMA backend
 // ---------------------------------------------------------------------------
 
 #[cfg(target_arch = "x86_64")]
-mod panel {
+mod avx2 {
     use super::Matrix;
+    use crate::ops;
+    use std::arch::x86_64::*;
     use std::cell::RefCell;
 
     /// Tile height of the NT microkernels: four rhs rows per panel block.
-    pub(super) const JT: usize = 4;
+    const JT: usize = 4;
     /// K-chunk width: eight f64 (the portable lane accumulator width).
-    pub(super) const KC: usize = 8;
+    const KC: usize = 8;
 
     thread_local! {
         /// Reusable packing buffer; one live borrow per `matmul_nt` call.
@@ -429,7 +352,7 @@ mod panel {
     /// (`4 × (K mod KC)` doubles). Block size is therefore exactly `4·K`.
     /// The `N mod 4` remainder rows are *not* packed — the callers compute
     /// them straight from `rhs` with `ops::dot_fma`.
-    pub(super) fn pack_rhs(rhs: &Matrix, buf: &mut Vec<f64>) {
+    fn pack_rhs(rhs: &Matrix, buf: &mut Vec<f64>) {
         let k = rhs.cols();
         let blocks = rhs.rows() / JT;
         let full = k / KC;
@@ -453,25 +376,13 @@ mod panel {
     }
 
     /// Run `f` with the thread's packing buffer holding `rhs`'s panels.
-    pub(super) fn with_packed<R>(rhs: &Matrix, f: impl FnOnce(&[f64]) -> R) -> R {
+    fn with_packed<R>(rhs: &Matrix, f: impl FnOnce(&[f64]) -> R) -> R {
         PACK.with(|cell| {
             let mut buf = cell.borrow_mut();
             pack_rhs(rhs, &mut buf);
             f(&buf)
         })
     }
-}
-
-// ---------------------------------------------------------------------------
-// AVX2 + FMA backend
-// ---------------------------------------------------------------------------
-
-#[cfg(target_arch = "x86_64")]
-mod avx2 {
-    use super::panel::{JT, KC};
-    use super::Matrix;
-    use crate::ops;
-    use std::arch::x86_64::*;
 
     /// Reduce a logical `[f64; 8]` accumulator held as two `__m256d`
     /// (lanes 0–3 in `lo`, lanes 4–7 in `hi`) in **exactly** the portable
@@ -492,8 +403,8 @@ mod avx2 {
     ///
     /// # Safety
     /// Requires AVX2+FMA (checked by backend selection); `block` must be
-    /// one `4·k`-double panel from [`super::panel::pack_rhs`] and `oc`
-    /// hold at least `JT` elements.
+    /// one `4·k`-double panel from [`pack_rhs`] and `oc` hold at least
+    /// `JT` elements.
     #[target_feature(enable = "avx2,fma")]
     unsafe fn nt_block(a_row: &[f64], block: &[f64], oc: &mut [f64]) {
         let k = a_row.len();
@@ -534,7 +445,7 @@ mod avx2 {
             unsafe { nt_tiny(a, rhs, out) };
             return;
         }
-        super::panel::with_packed(rhs, |packed| {
+        with_packed(rhs, |packed| {
             // Safety: backend selection verified avx2+fma.
             unsafe { nt_rows(a, rhs, packed, out) }
         });
@@ -789,261 +700,6 @@ impl ComputeBackend for Avx2Backend {
     }
 }
 
-// ---------------------------------------------------------------------------
-// AVX-512 backend (cargo feature `avx512`)
-// ---------------------------------------------------------------------------
-
-#[cfg(all(target_arch = "x86_64", feature = "avx512"))]
-mod avx512 {
-    use super::panel::{JT, KC};
-    use super::Matrix;
-    use crate::ops;
-    use std::arch::x86_64::*;
-
-    /// One a-row × one packed 4-row block with one `__m512d` accumulator
-    /// per tile — the logical `[f64; 8]` lane accumulator in a single
-    /// register. The reduction splits the zmm into its 256-bit halves and
-    /// reuses the portable `lane_sum` grouping, so today's implementation
-    /// is order-identical to portable; the *documented* contract stays at
-    /// ≤ 1e-12 to keep retiling freedom.
-    ///
-    /// # Safety
-    /// Requires AVX-512F (+AVX2/FMA for the reduction); `block` is a
-    /// packed panel from [`super::panel::pack_rhs`].
-    #[target_feature(enable = "avx512f,avx2,fma")]
-    unsafe fn nt_block(a_row: &[f64], block: &[f64], oc: &mut [f64]) {
-        let k = a_row.len();
-        let full = k / KC;
-        let tail_len = k - full * KC;
-        let mut acc = [_mm512_setzero_pd(); JT];
-        for c in 0..full {
-            let x = _mm512_loadu_pd(a_row.as_ptr().add(c * KC));
-            let base = block.as_ptr().add(c * JT * KC);
-            for (t, at) in acc.iter_mut().enumerate() {
-                let w = _mm512_loadu_pd(base.add(t * KC));
-                *at = _mm512_fmadd_pd(x, w, *at);
-            }
-        }
-        let x_tail = &a_row[full * KC..];
-        let tail_base = full * JT * KC;
-        for t in 0..JT {
-            let w_tail = &block[tail_base + t * tail_len..tail_base + (t + 1) * tail_len];
-            let mut tail = 0.0f64;
-            for (x, w) in x_tail.iter().zip(w_tail) {
-                tail = x.mul_add(*w, tail);
-            }
-            let lo = _mm512_castpd512_pd256(acc[t]);
-            let hi = _mm512_extractf64x4_pd::<1>(acc[t]);
-            let s = _mm256_add_pd(lo, hi);
-            let h = _mm_hadd_pd(_mm256_castpd256_pd128(s), _mm256_extractf128_pd::<1>(s));
-            oc[t] = _mm_cvtsd_f64(_mm_add_sd(h, _mm_unpackhi_pd(h, h))) + tail;
-        }
-    }
-
-    /// `out = a · rhsᵀ` over the shared packed panels (remainder rhs rows
-    /// via `ops::dot_fma`, like the AVX2 path). Tiny K skips packing —
-    /// see the AVX2 twin.
-    pub(super) fn matmul_nt(a: &Matrix, rhs: &Matrix, out: &mut Matrix) {
-        if a.cols() <= 2 * KC {
-            // Safety: backend selection verified avx512f support.
-            unsafe { nt_tiny(a, rhs, out) };
-            return;
-        }
-        super::panel::with_packed(rhs, |packed| {
-            // Safety: backend selection verified avx512f support.
-            unsafe { nt_rows(a, rhs, packed, out) }
-        });
-    }
-
-    /// Tiny-K (`K ≤ 2·KC`) row sweep: one or two full-chunk zmm FMA
-    /// rounds into a zeroed accumulator, the halved-zmm reduction
-    /// (order-identical to the portable `lane_sum`) and a
-    /// sequential-FMA k-tail — bitwise the portable tiny kernel.
-    ///
-    /// # Safety
-    /// Requires AVX-512F (+AVX2/FMA for the reduction).
-    #[target_feature(enable = "avx512f,avx2,fma")]
-    unsafe fn nt_tiny(a: &Matrix, rhs: &Matrix, out: &mut Matrix) {
-        let k = a.cols();
-        let n = rhs.rows();
-        for (ai, o_row) in out.data_mut().chunks_exact_mut(n).enumerate() {
-            let a_row = a.row(ai);
-            if k < KC {
-                for (w_row, o) in rhs.data().chunks_exact(k).zip(o_row.iter_mut()) {
-                    let mut tail = 0.0f64;
-                    for (x, w) in a_row.iter().zip(w_row) {
-                        tail = x.mul_add(*w, tail);
-                    }
-                    *o = 0.0 + tail;
-                }
-            } else {
-                // One or two full KC chunks (k ≤ 2·KC), then the scalar
-                // tail — chunk boundaries exactly as `ops::dot_fma`.
-                let chunks = k / KC;
-                let x_tail = &a_row[chunks * KC..];
-                for (w_row, o) in rhs.data().chunks_exact(k).zip(o_row.iter_mut()) {
-                    let mut acc = _mm512_setzero_pd();
-                    for c in 0..chunks {
-                        acc = _mm512_fmadd_pd(
-                            _mm512_loadu_pd(a_row.as_ptr().add(c * KC)),
-                            _mm512_loadu_pd(w_row.as_ptr().add(c * KC)),
-                            acc,
-                        );
-                    }
-                    let mut tail = 0.0f64;
-                    for (xi, w) in x_tail.iter().zip(&w_row[chunks * KC..]) {
-                        tail = xi.mul_add(*w, tail);
-                    }
-                    let lo = _mm512_castpd512_pd256(acc);
-                    let hi = _mm512_extractf64x4_pd::<1>(acc);
-                    let s = _mm256_add_pd(lo, hi);
-                    let h = _mm_hadd_pd(_mm256_castpd256_pd128(s), _mm256_extractf128_pd::<1>(s));
-                    *o = _mm_cvtsd_f64(_mm_add_sd(h, _mm_unpackhi_pd(h, h))) + tail;
-                }
-            }
-        }
-    }
-
-    /// The row sweep of [`matmul_nt`], feature-gated as a whole so
-    /// [`nt_block`] inlines into it (see the AVX2 twin for why).
-    ///
-    /// # Safety
-    /// Requires AVX-512F (+AVX2/FMA for the reduction).
-    #[target_feature(enable = "avx512f,avx2,fma")]
-    unsafe fn nt_rows(a: &Matrix, rhs: &Matrix, packed: &[f64], out: &mut Matrix) {
-        let k = a.cols();
-        let n = rhs.rows();
-        let blocks = n / JT;
-        for (ai, o_row) in out.data_mut().chunks_exact_mut(n).enumerate() {
-            let a_row = a.row(ai);
-            for b in 0..blocks {
-                nt_block(
-                    a_row,
-                    &packed[b * JT * k..(b + 1) * JT * k],
-                    &mut o_row[b * JT..],
-                );
-            }
-            for (j, o) in o_row.iter_mut().enumerate().skip(blocks * JT) {
-                *o = ops::dot_fma(a_row, rhs.row(j));
-            }
-        }
-    }
-
-    /// `out += aᵀ · rhs`: portable tiling with a 512-bit column sweep
-    /// (per-element order unchanged: `b` strictly increasing, one FMA).
-    ///
-    /// # Safety
-    /// Requires AVX-512F.
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn matmul_tn_acc(a: &Matrix, rhs: &Matrix, out: &mut Matrix) {
-        let m = a.cols();
-        let n = rhs.cols();
-        let a_data = a.data();
-        let x_data = rhs.data();
-        let out_data = out.data_mut();
-        let mut j = 0;
-        while j + JT <= m {
-            let block = &mut out_data[j * n..(j + JT) * n];
-            let (o0, rest) = block.split_at_mut(n);
-            let (o1, rest) = rest.split_at_mut(n);
-            let (o2, o3) = rest.split_at_mut(n);
-            for (a_row, x_row) in a_data.chunks_exact(m).zip(x_data.chunks_exact(n)) {
-                let a0 = _mm512_set1_pd(a_row[j]);
-                let a1 = _mm512_set1_pd(a_row[j + 1]);
-                let a2 = _mm512_set1_pd(a_row[j + 2]);
-                let a3 = _mm512_set1_pd(a_row[j + 3]);
-                let mut i = 0;
-                while i + 8 <= n {
-                    let x = _mm512_loadu_pd(x_row.as_ptr().add(i));
-                    let p0 = _mm512_loadu_pd(o0.as_ptr().add(i));
-                    _mm512_storeu_pd(o0.as_mut_ptr().add(i), _mm512_fmadd_pd(a0, x, p0));
-                    let p1 = _mm512_loadu_pd(o1.as_ptr().add(i));
-                    _mm512_storeu_pd(o1.as_mut_ptr().add(i), _mm512_fmadd_pd(a1, x, p1));
-                    let p2 = _mm512_loadu_pd(o2.as_ptr().add(i));
-                    _mm512_storeu_pd(o2.as_mut_ptr().add(i), _mm512_fmadd_pd(a2, x, p2));
-                    let p3 = _mm512_loadu_pd(o3.as_ptr().add(i));
-                    _mm512_storeu_pd(o3.as_mut_ptr().add(i), _mm512_fmadd_pd(a3, x, p3));
-                    i += 8;
-                }
-                let (s0, s1, s2, s3) = (a_row[j], a_row[j + 1], a_row[j + 2], a_row[j + 3]);
-                for i in i..n {
-                    let x = x_row[i];
-                    o0[i] = s0.mul_add(x, o0[i]);
-                    o1[i] = s1.mul_add(x, o1[i]);
-                    o2[i] = s2.mul_add(x, o2[i]);
-                    o3[i] = s3.mul_add(x, o3[i]);
-                }
-            }
-            j += JT;
-        }
-        for j in j..m {
-            let o_row = &mut out_data[j * n..(j + 1) * n];
-            for (a_row, x_row) in a_data.chunks_exact(m).zip(x_data.chunks_exact(n)) {
-                let s = a_row[j];
-                for (p, &x) in o_row.iter_mut().zip(x_row) {
-                    *p = s.mul_add(x, *p);
-                }
-            }
-        }
-    }
-}
-
-/// AVX-512 microkernels (single-zmm lane accumulators); documented at the
-/// ≤ 1e-12 cross-backend envelope, currently order-identical to portable.
-#[cfg(all(target_arch = "x86_64", feature = "avx512"))]
-#[derive(Debug)]
-pub struct Avx512Backend;
-
-#[cfg(all(target_arch = "x86_64", feature = "avx512"))]
-static AVX512: Avx512Backend = Avx512Backend;
-
-#[cfg(all(target_arch = "x86_64", feature = "avx512"))]
-impl ComputeBackend for Avx512Backend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Avx512
-    }
-
-    fn matmul_nt(&self, a: &Matrix, rhs: &Matrix, out: &mut Matrix) {
-        avx512::matmul_nt(a, rhs, out);
-    }
-
-    fn matmul_tn_acc(&self, a: &Matrix, rhs: &Matrix, out: &mut Matrix) {
-        // Safety: backend selection verified avx512f support.
-        unsafe { avx512::matmul_tn_acc(a, rhs, out) }
-    }
-
-    fn gemv_t_acc(&self, a: &Matrix, x: &[f64], y: &mut [f64]) {
-        // The axpy sweep is memory-bound; reuse the AVX2 kernel (identical
-        // mul-then-add arithmetic). Safety: avx512 implies avx2 support.
-        unsafe { avx2::gemv_t_acc(a, x, y) }
-    }
-
-    fn vexp(&self, xs: &[f64], out: &mut [f64]) {
-        // Safety: avx512 support implies avx2+fma (checked at selection).
-        unsafe { avx2::vexp(xs, out) }
-    }
-
-    fn vsigmoid(&self, gain: f64, xs: &[f64], out: &mut [f64]) {
-        // Safety: as above.
-        unsafe { avx2::vsigmoid(gain, xs, out) }
-    }
-
-    fn vtanh(&self, gain: f64, xs: &[f64], out: &mut [f64]) {
-        // Safety: as above.
-        unsafe { avx2::vtanh(gain, xs, out) }
-    }
-
-    fn vsigmoid_deriv(&self, gain: f64, ys: &[f64], out: &mut [f64]) {
-        // Safety: as above.
-        unsafe { avx2::vsigmoid_deriv(gain, ys, out) }
-    }
-
-    fn vtanh_deriv(&self, k: f64, ys: &[f64], out: &mut [f64]) {
-        // Safety: as above.
-        unsafe { avx2::vtanh_deriv(k, ys, out) }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1094,8 +750,8 @@ mod tests {
         // K ≤ 16 takes the tiny-K specialization (no packing, no 4-row
         // tiling); K = 17 is the first general-kernel width. Every
         // element must equal the `ops::dot_fma` reference bitwise on
-        // every backend claiming bitwise parity — the specialization is
-        // a speed change, never a value change.
+        // every backend — the specialization is a speed change, never a
+        // value change.
         for k in 1..=17usize {
             let (a, w) = mats(5, k, 7);
             for kind in supported_kinds() {
@@ -1115,7 +771,7 @@ mod tests {
     }
 
     #[test]
-    fn simd_nt_matches_portable_bitwise_where_claimed() {
+    fn simd_nt_matches_portable_bitwise() {
         // Shapes exercising full tiles, k-tails, and rhs-row remainders.
         for (b, k, n) in [
             (1usize, 5usize, 1usize),
@@ -1135,8 +791,6 @@ mod tests {
                 backend_for(kind).matmul_nt(&a, &w, &mut got);
                 for r in 0..b {
                     for j in 0..n {
-                        // Portable ↔ AVX2 is the bitwise claim; the
-                        // AVX-512 kernel is order-identical today.
                         let (g, wv) = (got.get(r, j), want.get(r, j));
                         assert_eq!(
                             g.to_bits(),
@@ -1151,7 +805,7 @@ mod tests {
     }
 
     #[test]
-    fn simd_tn_acc_matches_portable_bitwise_where_claimed() {
+    fn simd_tn_acc_matches_portable_bitwise() {
         for (b, m, n) in [
             (6usize, 10usize, 5usize),
             (4, 7, 3),

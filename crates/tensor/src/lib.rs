@@ -17,9 +17,9 @@
 //!
 //! No external BLAS: the workspace builds every substrate from scratch.
 //! The GEMM and activation kernels are dispatched at runtime through
-//! [`backend`]: the portable tiled kernels remain the bit-baseline, with
-//! AVX2/AVX-512 microkernels selected by CPU feature detection or the
-//! `NEUROFAIL_BACKEND` override.
+//! [`backend`]: the portable tiled kernels are the bit-baseline, and the
+//! AVX2 microkernels, selected by CPU feature detection or the
+//! `NEUROFAIL_BACKEND` override, reproduce them bitwise.
 
 #![warn(missing_docs)]
 

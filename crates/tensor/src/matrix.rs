@@ -1,7 +1,5 @@
 //! Row-major dense matrix.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ops;
 
 /// A dense, row-major `rows × cols` matrix of `f64`.
@@ -12,7 +10,7 @@ use crate::ops;
 /// one cache-friendly streaming read per output neuron.
 /// The `Default` matrix is the empty `0 × 0` shape — the placeholder
 /// state of lazily-shaped workspace buffers.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -685,14 +683,6 @@ mod tests {
     #[should_panic(expected = "inner dimension mismatch")]
     fn matmul_shape_mismatch_panics() {
         let _ = small().matmul(&small());
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let m = small();
-        let json = serde_json::to_string(&m).unwrap();
-        let back: Matrix = serde_json::from_str(&json).unwrap();
-        assert_eq!(m, back);
     }
 
     #[test]

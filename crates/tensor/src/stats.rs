@@ -5,15 +5,13 @@
 //! moments plus extrema, and supports the `merge` operation needed by
 //! `neurofail-par`'s tree reductions.
 
-use serde::{Deserialize, Serialize};
-
 /// Running count/mean/variance/min/max over a stream of `f64` observations.
 ///
 /// Uses Welford's algorithm (numerically stable single-pass moments); merging
 /// follows Chan et al.'s pairwise update, so campaign statistics are
 /// independent of how trials were sharded over worker threads (up to fp
 /// rounding, which tests bound).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OnlineStats {
     count: u64,
     mean: f64,
@@ -128,7 +126,7 @@ impl OnlineStats {
         }
     }
 
-    /// Snapshot into a plain serialisable record.
+    /// Snapshot into a plain-data record.
     pub fn summary(&self) -> Summary {
         Summary {
             count: self.count,
@@ -141,7 +139,7 @@ impl OnlineStats {
 }
 
 /// Plain-old-data snapshot of an [`OnlineStats`], for reports.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Number of observations.
     pub count: u64,

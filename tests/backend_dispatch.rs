@@ -1,13 +1,12 @@
 //! Backend selection and dispatch contracts, exercised end to end:
 //!
-//! * the `NEUROFAIL_BACKEND` vocabulary (`portable` / `avx2` / `avx512` /
-//!   `auto`) and its strict parse;
+//! * the `NEUROFAIL_BACKEND` vocabulary (`portable` / `avx2` / `auto`) and
+//!   its strict parse;
 //! * `default_kind` honouring the environment override — the CI matrix
 //!   runs this whole suite once with `NEUROFAIL_BACKEND=portable` and
 //!   once with `auto`, so both legs of the env path are executed;
-//! * the resolution order of the three selection layers: thread-scoped
-//!   `with_backend` beats process-wide `force_backend` beats the env/
-//!   detected default;
+//! * the two selection layers: thread-scoped `with_backend` scopes nest
+//!   over the env/detected default and restore it on exit;
 //! * the saturation-flush invariant (`ops::SATURATION_FLUSH`): a batch
 //!   driven deep into sigmoid saturation produces **zero subnormals** in
 //!   the forward taps, the backward delta buffers, and the gradients,
@@ -27,7 +26,7 @@ use neurofail::tensor::Matrix;
 fn parse_vocabulary_is_the_env_contract() {
     assert_eq!(BackendKind::parse("portable"), Ok(BackendKind::Portable));
     assert_eq!(BackendKind::parse("avx2"), Ok(BackendKind::Avx2));
-    assert_eq!(BackendKind::parse("avx512"), Ok(BackendKind::Avx512));
+    assert!(BackendKind::parse("avx512").is_err());
     assert!(BackendKind::parse("mixed32").is_err());
     assert_eq!(BackendKind::parse(" AVX2 "), Ok(BackendKind::Avx2));
     assert_eq!(BackendKind::parse("auto"), Ok(BackendKind::detect_best()));
@@ -54,31 +53,31 @@ fn detection_is_coherent() {
     let best = BackendKind::detect_best();
     assert!(best.is_supported());
     for f in backend::detected_features() {
-        assert!(
-            matches!(f, "avx2" | "fma" | "avx512f"),
-            "unexpected feature {f}"
-        );
+        assert!(matches!(f, "avx2" | "fma"), "unexpected feature {f}");
     }
 }
 
 #[test]
-fn scoped_override_beats_forced_beats_default() {
+fn scoped_override_nests_and_restores_over_default() {
     let default = backend::default_kind();
-    backend::force_backend(Some(BackendKind::Portable));
-    assert_eq!(backend::active_kind(), BackendKind::Portable);
-    // A thread-scoped override wins over the process-wide force...
-    let best = BackendKind::detect_best();
-    backend::with_backend(best, || {
-        assert_eq!(backend::active_kind(), best);
+    assert_eq!(backend::active_kind(), default);
+    // A thread-scoped override wins over the default...
+    backend::with_backend(BackendKind::Portable, || {
+        assert_eq!(backend::active_kind(), BackendKind::Portable);
         // ...and nests.
-        backend::with_backend(BackendKind::Portable, || {
-            assert_eq!(backend::active_kind(), BackendKind::Portable);
+        let best = BackendKind::detect_best();
+        backend::with_backend(best, || {
+            assert_eq!(backend::active_kind(), best);
+            assert_eq!(backend::active().kind(), best);
         });
-        assert_eq!(backend::active_kind(), best);
+        assert_eq!(backend::active_kind(), BackendKind::Portable);
     });
-    // The force is still in effect once the scope unwinds.
-    assert_eq!(backend::active_kind(), BackendKind::Portable);
-    backend::force_backend(None);
+    // The default is back once the scope exits, also by a panic.
+    assert_eq!(backend::active_kind(), default);
+    let unwound = std::panic::catch_unwind(|| {
+        backend::with_backend(BackendKind::Portable, || panic!("inside the scope"))
+    });
+    assert!(unwound.is_err());
     assert_eq!(backend::active_kind(), default);
 }
 

@@ -32,9 +32,8 @@
 //!
 //! A **compute-backend sweep** rides on the same generator: the
 //! whole-batch engine is re-run under every supported
-//! [`neurofail::tensor::backend`] kind and held to its per-backend
-//! determinism contract against a forced-portable reference (AVX2
-//! bitwise, other SIMD backends ≤ 1e-12).
+//! [`neurofail::tensor::backend`] kind and held bitwise to a
+//! portable-scoped reference (determinism contract 11).
 
 use std::sync::Arc;
 
@@ -247,9 +246,8 @@ proptest! {
         }
 
         // Backend sweep: the same whole-batch evaluation under every
-        // supported compute backend, against a forced-portable reference.
-        // AVX2 is bitwise by the documented contract; any other SIMD
-        // backend rides at the ≤ 1e-12 per-backend envelope.
+        // supported compute backend reproduces a portable-scoped
+        // reference bitwise (contract 11).
         let portable: Vec<Vec<f64>> = backend::with_backend(BackendKind::Portable, || {
             plans
                 .iter()
@@ -266,26 +264,13 @@ proptest! {
             for (pi, (g, p)) in got.iter().zip(&portable).enumerate() {
                 prop_assert_eq!(g.len(), p.len());
                 for (b, (gv, pv)) in g.iter().zip(p).enumerate() {
-                    if matches!(kind, BackendKind::Portable | BackendKind::Avx2) {
-                        prop_assert_eq!(
-                            gv.to_bits(), pv.to_bits(),
-                            "{} vs portable: plan {}, row {}", kind.name(), pi, b
-                        );
-                    } else {
-                        prop_assert!(
-                            (gv - pv).abs() <= 1e-12 * pv.abs().max(1.0),
-                            "{} vs portable: plan {}, row {}: {:e} vs {:e}",
-                            kind.name(), pi, b, gv, pv
-                        );
-                    }
+                    prop_assert_eq!(
+                        gv.to_bits(), pv.to_bits(),
+                        "{} vs portable: plan {}, row {}", kind.name(), pi, b
+                    );
                 }
             }
         }
-        // The forced-portable reference itself agrees bitwise with the
-        // ambient-backend `whole` evaluation only when the ambient GEMM
-        // order is order-identical; what the engines guarantee pairwise
-        // is agreement *under a fixed ambient backend*, checked above.
-
         // The scalar engine rides along at its documented ≤ 1e-12
         // batch/scalar envelope (different accumulation order + libm).
         let mut sws = Workspace::for_net(&net);

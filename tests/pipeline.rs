@@ -1,6 +1,6 @@
 //! End-to-end pipelines across crates: train → profile → certify → inject,
-//! replication (Corollary 1), serde round-trips, and the distributed
-//! simulator's equivalence guarantees.
+//! replication (Corollary 1), canonical-bytes round trips, and the
+//! distributed simulator's equivalence guarantees.
 
 use std::collections::HashSet;
 
@@ -14,7 +14,7 @@ use neurofail::inject::{run_campaign, CampaignConfig, FaultSpec, InjectionPlan, 
 use neurofail::nn::activation::Activation;
 use neurofail::nn::builder::MlpBuilder;
 use neurofail::nn::train::{train, TrainConfig};
-use neurofail::nn::Mlp;
+use neurofail::nn::{net_from_bytes, net_to_bytes, Mlp, NetId};
 use neurofail::par::Parallelism;
 use neurofail::tensor::init::Init;
 
@@ -81,22 +81,16 @@ fn replication_preserves_function_and_scales_tolerance() {
 }
 
 #[test]
-fn serde_roundtrips_network_profile_and_certificate() {
-    let (net, eps_prime) = trained_net();
-    let json = serde_json::to_string(&net).unwrap();
-    let back: Mlp = serde_json::from_str(&json).unwrap();
-    assert_eq!(net, back);
-
-    let profile = NetworkProfile::from_mlp(&net, Capacity::Bounded(2.0)).unwrap();
-    let pj = serde_json::to_string(&profile).unwrap();
-    let pback: NetworkProfile = serde_json::from_str(&pj).unwrap();
-    assert_eq!(profile, pback);
-
-    let budget = EpsilonBudget::new(eps_prime + 0.0625, eps_prime).unwrap();
-    let cert = certify(&profile, budget);
-    let cj = serde_json::to_string(&cert).unwrap();
-    let cback: neurofail::core::Certificate = serde_json::from_str(&cj).unwrap();
-    assert_eq!(cert, cback);
+fn trained_network_round_trips_through_canonical_bytes() {
+    let (net, _) = trained_net();
+    let bytes = net_to_bytes(&net);
+    let back = net_from_bytes(&bytes).expect("canonical bytes decode");
+    assert_eq!(back, net);
+    assert_eq!(net_to_bytes(&back), bytes, "re-encoding is byte-identical");
+    assert_eq!(NetId::of(&back), NetId::of(&net));
+    for x in [[0.35, 0.65], [0.0, 1.0], [-0.2, 0.9], [0.5, 0.5]] {
+        assert_eq!(back.forward(&x).to_bits(), net.forward(&x).to_bits());
+    }
 }
 
 #[test]

@@ -13,10 +13,9 @@
 //!   different `Parallelism` policies;
 //! * full training trajectories (momentum, weight decay, Fep penalty) of
 //!   the two engines agree within floating-point re-association noise;
-//! * the batched engine's gradients and whole training trajectories hold
-//!   their per-backend determinism contracts across every supported
-//!   [`neurofail::tensor::backend`] kind (AVX2 bitwise vs portable,
-//!   other SIMD backends ≤ 1e-12).
+//! * the batched engine's gradients and whole training trajectories are
+//!   bitwise equal under every supported [`neurofail::tensor::backend`]
+//!   kind (determinism contract 11).
 
 use neurofail::data::functions::Ridge;
 use neurofail::data::rng::rng;
@@ -140,9 +139,8 @@ proptest! {
 
 /// Backend sweep over the training engine: `backward_batch` gradients on
 /// dense and mixed conv/dense nets, plus a full 6-epoch trajectory, under
-/// every supported compute backend against a forced-portable reference.
-/// AVX2 must reproduce portable bitwise (the documented contract); any
-/// other SIMD backend rides at ≤ 1e-12 per element.
+/// every supported compute backend against a portable-scoped reference.
+/// Every backend must reproduce portable bitwise (contract 11).
 #[test]
 fn batched_gradients_and_training_agree_across_backends() {
     use neurofail::tensor::backend::{self, BackendKind};
@@ -162,37 +160,28 @@ fn batched_gradients_and_training_agree_across_backends() {
         for kind in backend::supported_kinds() {
             let (loss, grads) = grads_under(kind);
             let ctx = format!("backend {} (d={d})", kind.name());
-            if matches!(kind, BackendKind::Portable | BackendKind::Avx2) {
-                assert_eq!(loss.to_bits(), ploss.to_bits(), "{ctx}: loss");
-                for (l, (a, b)) in grads.layers.iter().zip(&pgrads.layers).enumerate() {
-                    for (x, y) in a.w.data().iter().zip(b.w.data()) {
-                        assert_eq!(x.to_bits(), y.to_bits(), "{ctx}: layer {l} weights");
-                    }
-                    for (x, y) in a.b.iter().zip(&b.b) {
-                        assert_eq!(x.to_bits(), y.to_bits(), "{ctx}: layer {l} bias");
-                    }
+            assert_eq!(loss.to_bits(), ploss.to_bits(), "{ctx}: loss");
+            for (l, (a, b)) in grads.layers.iter().zip(&pgrads.layers).enumerate() {
+                for (x, y) in a.w.data().iter().zip(b.w.data()) {
+                    assert_eq!(x.to_bits(), y.to_bits(), "{ctx}: layer {l} weights");
                 }
-                for (x, y) in grads.output.iter().zip(&pgrads.output) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "{ctx}: output weights");
+                for (x, y) in a.b.iter().zip(&b.b) {
+                    assert_eq!(x.to_bits(), y.to_bits(), "{ctx}: layer {l} bias");
                 }
-                assert_eq!(
-                    grads.output_bias.to_bits(),
-                    pgrads.output_bias.to_bits(),
-                    "{ctx}: output bias"
-                );
-            } else {
-                assert!(
-                    (loss - ploss).abs() <= 1e-12 * ploss.abs().max(1.0),
-                    "{ctx}: loss"
-                );
-                assert_grads_close(&grads, &pgrads, 1e-12, &ctx);
             }
+            for (x, y) in grads.output.iter().zip(&pgrads.output) {
+                assert_eq!(x.to_bits(), y.to_bits(), "{ctx}: output weights");
+            }
+            assert_eq!(
+                grads.output_bias.to_bits(),
+                pgrads.output_bias.to_bits(),
+                "{ctx}: output bias"
+            );
         }
     }
 
-    // Whole trajectories: a short batched training run per backend. The
-    // bitwise backends must reproduce the portable networks and reports
-    // exactly; the rest must land within trajectory-amplified 1e-9.
+    // Whole trajectories: a short batched training run per backend must
+    // reproduce the portable network and report exactly.
     let (net0, data) = training_task();
     let cfg = TrainConfig {
         epochs: 6,
@@ -208,18 +197,8 @@ fn batched_gradients_and_training_agree_across_backends() {
     let (pnet, preport) = train_under(BackendKind::Portable);
     for kind in backend::supported_kinds() {
         let (net, report) = train_under(kind);
-        if matches!(kind, BackendKind::Portable | BackendKind::Avx2) {
-            assert_eq!(net, pnet, "trajectory under {}", kind.name());
-            assert_eq!(report, preport, "report under {}", kind.name());
-        } else {
-            for (a, b) in net.output_weights().iter().zip(pnet.output_weights()) {
-                assert!(
-                    (a - b).abs() <= 1e-9,
-                    "trajectory under {}: {a} vs {b}",
-                    kind.name()
-                );
-            }
-        }
+        assert_eq!(net, pnet, "trajectory under {}", kind.name());
+        assert_eq!(report, preport, "report under {}", kind.name());
     }
 }
 
