@@ -1,9 +1,9 @@
 //! # neurofail-fleet
 //!
 //! The multi-process certification fleet of the `neurofail` workspace:
-//! N worker *processes*, each an embedded supervised
-//! [`CertServer`](neurofail_serve::CertServer), behind one
-//! [`FleetRouter`] front-end — serving equivalence, campaign
+//! N worker *processes*, each embedding one supervised
+//! [`CertServer`](neurofail_serve::CertServer) per admitted plan, behind
+//! one [`FleetRouter`] front-end — serving equivalence, campaign
 //! determinism, and crash recovery carried across the process boundary.
 //!
 //! * [`proto`] — the wire protocol: length-prefixed, versioned,
@@ -17,10 +17,12 @@
 //!   before the sending thread would block; receivers read through a
 //!   buffer, so a burst costs one read.
 //! * [`transport`] — unix-domain sockets or localhost TCP behind one
-//!   address string; workers dial in, the router supervises.
+//!   address string; the router binds a unix socket, workers dial in, the
+//!   router supervises.
 //! * [`worker`] — the worker process shell: env-configured
-//!   ([`run_worker_from_env`]), serving every frame through the same
-//!   engine a single-process deployment uses, so fleet answers are
+//!   ([`run_worker_from_env`]), starting one server per plan as it is
+//!   registered and serving every frame through the same engine a
+//!   single-process deployment uses, so fleet answers are
 //!   *protocol-transported*, not recomputed differently.
 //! * [`router`] — plans admitted **once** at the router (one typed
 //!   `CompiledPlan::compile`; structure hash = home shard), hot plans' input
@@ -57,12 +59,10 @@ pub mod router;
 pub mod transport;
 pub mod worker;
 
-pub use proto::{Message, ProtocolError, WireServeConfig, WireTrial, WireWorkerStats};
+pub use proto::{Message, ProtocolError, WireTrial, WireWorkerStats};
 pub use router::{
     reexec_spawner, FleetAudit, FleetConfig, FleetError, FleetHandle, FleetPlanId, FleetRouter,
     FleetStats, WorkerAudit, WorkerLaunch, WorkerSpawner,
 };
 pub use transport::{FleetListener, FleetStream, Transport};
-pub use worker::{
-    run_worker, run_worker_from_env, ENV_ADDR, ENV_CHAOS, ENV_GEN, ENV_STORE, ENV_WORKER,
-};
+pub use worker::{run_worker, run_worker_from_env, ENV_ADDR, ENV_CHAOS, ENV_GEN, ENV_WORKER};

@@ -38,7 +38,7 @@ use neurofail_tensor::{checksum64_words, ByteReader, ByteWriter, DecodeError, On
 pub const MAGIC: u64 = u64::from_le_bytes(*b"NFFLEET1");
 /// Protocol version; a frame carrying any other value is rejected with
 /// [`ProtocolError::Version`] (stale workers cannot silently interoperate).
-pub const PROTO_VERSION: u64 = 2;
+pub const PROTO_VERSION: u64 = 3;
 /// Hard ceiling on a frame's payload, bounding what a corrupt or hostile
 /// length prefix can make the receiver allocate.
 pub const MAX_PAYLOAD: u64 = 1 << 26;
@@ -241,7 +241,6 @@ pub fn read_message(r: &mut impl Read) -> Result<Message, ProtocolError> {
 
 // Frame kinds. Router → worker first, worker → router after.
 const K_HELLO: u64 = 1;
-const K_CONFIGURE: u64 = 2;
 const K_REGISTER: u64 = 3;
 const K_QUERY: u64 = 4;
 const K_SHARD: u64 = 5;
@@ -249,7 +248,6 @@ const K_PING: u64 = 6;
 const K_STATS_REQ: u64 = 7;
 const K_AUDIT_REQ: u64 = 8;
 const K_SHUTDOWN: u64 = 9;
-const K_REGISTERED: u64 = 10;
 const K_ANSWER: u64 = 11;
 const K_REFUSED: u64 = 12;
 const K_SHARD_DONE: u64 = 13;
@@ -257,6 +255,9 @@ const K_PONG: u64 = 14;
 const K_STATS_REPLY: u64 = 15;
 const K_AUDIT_REPLY: u64 = 16;
 const K_BYE: u64 = 17;
+/// Kinds of version 2's serving-config frame and registration ack,
+/// retired in version 3; no later version reuses them.
+const RETIRED_KINDS: [u64; 2] = [2, 10];
 
 /// Typed request-refusal codes carried in [`Message::Refused`] — the
 /// wire image of the embedded server's `SubmitError`/`RequestError`
@@ -281,22 +282,6 @@ pub mod code {
     pub const DEADLINE: u64 = 8;
 }
 
-/// The serving knobs a worker's embedded `CertServer` is configured with,
-/// sent once per connection in [`Message::Configure`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WireServeConfig {
-    /// [`neurofail_serve::ServeConfig::max_batch`].
-    pub max_batch: u64,
-    /// [`neurofail_serve::ServeConfig::max_wait`] in nanoseconds.
-    pub max_wait_nanos: u64,
-    /// [`neurofail_serve::ServeConfig::queue_capacity`].
-    pub queue_capacity: u64,
-    /// Record a request log for audit/replay (always on in fleets).
-    pub record_log: bool,
-    /// [`neurofail_serve::ServeConfig::max_plan_strikes`].
-    pub max_plan_strikes: u64,
-}
-
 /// One trial's result in transport form: the raw
 /// [`OnlineStats`] accumulator plus the trial's own worst case.
 #[derive(Debug, Clone, PartialEq)]
@@ -310,11 +295,10 @@ pub struct WireTrial {
 }
 
 /// Counters a worker reports in [`Message::StatsReply`] — the
-/// fleet-visible slice of its embedded server's `ServeStats` plus its
-/// own lifecycle counters.
+/// fleet-visible slice of its plans' `ServeStats`, summed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WireWorkerStats {
-    /// Requests accepted by the embedded server.
+    /// Requests accepted by the plans' servers.
     pub requests: u64,
     /// Rows served.
     pub rows_served: u64,
@@ -322,21 +306,12 @@ pub struct WireWorkerStats {
     pub checkpoint_hits: u64,
     /// Rows the streaming checkpoints avoided recomputing.
     pub checkpoint_rows_reused: u64,
-    /// Artifact-store flush hits (fleet-wide warm starts).
-    pub store_hits: u64,
-    /// Rows the store tier avoided recomputing.
-    pub store_rows_reused: u64,
-    /// Checkpoints this worker published to the shared store.
-    pub store_publishes: u64,
-    /// Thread-level worker restarts inside the embedded server.
+    /// Thread-level worker restarts inside the plans' servers.
     pub serve_restarts: u64,
-    /// Rows requeued inside the embedded server.
+    /// Rows requeued inside the plans' servers.
     pub serve_rows_requeued: u64,
-    /// Plans quarantined inside the embedded server.
+    /// Plans quarantined inside their servers.
     pub plans_quarantined: u64,
-    /// Times this process rebuilt its embedded server (late plan
-    /// registrations).
-    pub server_rebuilds: u64,
 }
 
 /// Every frame the protocol speaks.
@@ -353,8 +328,6 @@ pub enum Message {
         /// that dead stream would strike the healthy replacement.
         gen: u64,
     },
-    /// Router → worker, first frame back: serving configuration.
-    Configure(WireServeConfig),
     /// Router → worker: admit this plan under the given fleet-wide id.
     /// Re-sent idempotently after respawns; a worker already holding the
     /// id ignores the repeat.
@@ -408,11 +381,6 @@ pub enum Message {
     AuditReq,
     /// Router → worker: drain and exit cleanly.
     Shutdown,
-    /// Worker → router: plan admitted (idempotent ack).
-    Registered {
-        /// The fleet-wide plan id.
-        plan: u64,
-    },
     /// Worker → router: one answered query.
     Answer {
         /// Echo of the query's sequence number.
@@ -463,7 +431,7 @@ pub enum Message {
 
 impl Message {
     fn known_kind(kind: u64) -> bool {
-        (K_HELLO..=K_BYE).contains(&kind)
+        (K_HELLO..=K_BYE).contains(&kind) && !RETIRED_KINDS.contains(&kind)
     }
 
     /// Encode into `(kind, payload)` for [`encode_frame`].
@@ -474,14 +442,6 @@ impl Message {
                 w.put_u64(*worker);
                 w.put_u64(*gen);
                 K_HELLO
-            }
-            Message::Configure(cfg) => {
-                w.put_u64(cfg.max_batch);
-                w.put_u64(cfg.max_wait_nanos);
-                w.put_u64(cfg.queue_capacity);
-                w.put_u64(cfg.record_log as u64);
-                w.put_u64(cfg.max_plan_strikes);
-                K_CONFIGURE
             }
             Message::Register {
                 plan,
@@ -534,10 +494,6 @@ impl Message {
             Message::StatsReq => K_STATS_REQ,
             Message::AuditReq => K_AUDIT_REQ,
             Message::Shutdown => K_SHUTDOWN,
-            Message::Registered { plan } => {
-                w.put_u64(*plan);
-                K_REGISTERED
-            }
             Message::Answer { seq, value } => {
                 w.put_u64(*seq);
                 w.put_f64(*value);
@@ -589,13 +545,9 @@ impl Message {
                     s.rows_served,
                     s.checkpoint_hits,
                     s.checkpoint_rows_reused,
-                    s.store_hits,
-                    s.store_rows_reused,
-                    s.store_publishes,
                     s.serve_restarts,
                     s.serve_rows_requeued,
                     s.plans_quarantined,
-                    s.server_rebuilds,
                 ] {
                     w.put_u64(v);
                 }
@@ -623,23 +575,6 @@ impl Message {
                 worker: r.get_u64()?,
                 gen: r.get_u64()?,
             },
-            K_CONFIGURE => {
-                let cfg = WireServeConfig {
-                    max_batch: r.get_u64()?,
-                    max_wait_nanos: r.get_u64()?,
-                    queue_capacity: r.get_u64()?,
-                    record_log: get_bool(&mut r)?,
-                    max_plan_strikes: r.get_u64()?,
-                };
-                // The embedded server's `ServeConfig::validate` rules.
-                if cfg.max_batch == 0 || cfg.queue_capacity == 0 {
-                    return Err(ProtocolError::Malformed("zero max_batch or queue_capacity"));
-                }
-                if !(1..=u64::from(u32::MAX)).contains(&cfg.max_plan_strikes) {
-                    return Err(ProtocolError::Malformed("max_plan_strikes out of range"));
-                }
-                Message::Configure(cfg)
-            }
             K_REGISTER => Message::Register {
                 plan: r.get_u64()?,
                 net: r.get_bytes()?.to_vec(),
@@ -692,7 +627,6 @@ impl Message {
             K_STATS_REQ => Message::StatsReq,
             K_AUDIT_REQ => Message::AuditReq,
             K_SHUTDOWN => Message::Shutdown,
-            K_REGISTERED => Message::Registered { plan: r.get_u64()? },
             K_ANSWER => Message::Answer {
                 seq: r.get_u64()?,
                 value: r.get_f64()?,
@@ -723,7 +657,7 @@ impl Message {
                             error: r.get_f64()?,
                             input: r.get_f64_vec()?,
                             plan: plan_from_bytes(r.get_bytes()?)?,
-                            trial: get_usize_at(&mut r)?,
+                            trial: get_usize(&mut r)?,
                             seed: r.get_u64()?,
                         }),
                         _ => return Err(ProtocolError::Malformed("bad worst-case presence tag")),
@@ -740,7 +674,7 @@ impl Message {
                 nonce: r.get_u64()?,
             },
             K_STATS_REPLY => {
-                let mut vals = [0u64; 11];
+                let mut vals = [0u64; 7];
                 for v in &mut vals {
                     *v = r.get_u64()?;
                 }
@@ -749,13 +683,9 @@ impl Message {
                     rows_served: vals[1],
                     checkpoint_hits: vals[2],
                     checkpoint_rows_reused: vals[3],
-                    store_hits: vals[4],
-                    store_rows_reused: vals[5],
-                    store_publishes: vals[6],
-                    serve_restarts: vals[7],
-                    serve_rows_requeued: vals[8],
-                    plans_quarantined: vals[9],
-                    server_rebuilds: vals[10],
+                    serve_restarts: vals[4],
+                    serve_rows_requeued: vals[5],
+                    plans_quarantined: vals[6],
                 })
             }
             K_AUDIT_REPLY => Message::AuditReply {
@@ -793,10 +723,6 @@ fn get_capacity(r: &mut ByteReader<'_>) -> Result<f64, ProtocolError> {
 
 fn get_usize(r: &mut ByteReader<'_>) -> Result<usize, ProtocolError> {
     usize::try_from(r.get_u64()?).map_err(|_| ProtocolError::Malformed("value overflows usize"))
-}
-
-fn get_usize_at(r: &mut ByteReader<'_>) -> Result<usize, ProtocolError> {
-    get_usize(r)
 }
 
 fn put_trial_kind(w: &mut ByteWriter, kind: &TrialKind) {
@@ -971,13 +897,6 @@ mod tests {
     fn sample_messages() -> Vec<Message> {
         vec![
             Message::Hello { worker: 3, gen: 2 },
-            Message::Configure(WireServeConfig {
-                max_batch: 64,
-                max_wait_nanos: 100_000,
-                queue_capacity: 1024,
-                record_log: true,
-                max_plan_strikes: 3,
-            }),
             Message::Register {
                 plan: 7,
                 net: vec![0u8; 16],
@@ -1008,7 +927,6 @@ mod tests {
             Message::StatsReq,
             Message::AuditReq,
             Message::Shutdown,
-            Message::Registered { plan: 7 },
             Message::Answer {
                 seq: 42,
                 value: -0.0,
@@ -1040,7 +958,7 @@ mod tests {
             Message::StatsReply(WireWorkerStats {
                 requests: 10,
                 rows_served: 10,
-                store_hits: 2,
+                checkpoint_hits: 2,
                 ..WireWorkerStats::default()
             }),
             Message::AuditReply {
@@ -1108,9 +1026,11 @@ mod tests {
             at = end;
         }
         assert_eq!(at, burst.len());
-        // And one frame's bytes pinned outright.
+        // And one frame's bytes pinned outright. The checksum folds the
+        // version word, so a `PROTO_VERSION` bump moves this pin; derive
+        // the new one from the FNV-1a/SplitMix64 definition.
         let ping = encode_frame(K_PING, &9u64.to_le_bytes());
-        assert_eq!(&ping[32..40], &0xe22b_1bc3_2429_185f_u64.to_le_bytes());
+        assert_eq!(&ping[32..40], &0x3e3b_1fb8_3da1_dfd5_u64.to_le_bytes());
     }
 
     #[test]

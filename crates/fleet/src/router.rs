@@ -1,6 +1,6 @@
 //! The fleet front-end: one [`FleetRouter`] owning N worker *processes*,
-//! each a [`run_worker`](crate::worker::run_worker) shell around an
-//! embedded `CertServer`.
+//! each a [`run_worker`](crate::worker::run_worker) shell around one
+//! embedded `CertServer` per admitted plan.
 //!
 //! The router is PR 7's supervision ported across the process boundary:
 //!
@@ -9,7 +9,7 @@
 //!   rejection before anything touches a socket), and the compiled
 //!   plan's structure hash picks the plan's *home* worker. Workers
 //!   receive only already-admitted plans, lazily, the first time traffic
-//!   routes to them.
+//!   routes to them, and start one server per plan.
 //! * **In-flight tables** — every routed query sits in its connection's
 //!   in-flight table until its `Answer`/`Refused` frame arrives. A dead
 //!   connection's unanswered rows are requeued to the respawned process
@@ -24,13 +24,13 @@
 //!   connection loss that requeues every row it carried. Each
 //!   connection's reader thread reads through a 64 KiB buffer.
 //! * **Heartbeats** — a connection silent past the heartbeat interval
-//!   while work is outstanding is pinged; repeated unanswered pings get
-//!   the process killed and its work requeued (catches stalls, which
-//!   socket EOF alone cannot).
+//!   while work is outstanding is pinged; `MAX_MISSED_PINGS` unanswered
+//!   pings get the process killed and its work requeued (catches stalls,
+//!   which socket EOF alone cannot).
 //! * **Strike-based quarantine** — each connection loss is a strike;
-//!   strikes clear on useful work and quarantine the worker slot at the
-//!   configured cap, exactly like the embedded server quarantines a plan
-//!   whose flushes keep panicking.
+//!   strikes clear on useful work and quarantine the worker slot at
+//!   `MAX_WORKER_STRIKES`, exactly like the embedded server quarantines
+//!   a plan whose flushes keep panicking.
 //! * **Sharded campaigns** — a campaign splits its trial range into
 //!   contiguous shards across live workers; per-trial `(stats, worst)`
 //!   records come back tagged with their trial index, so the merge is in
@@ -39,7 +39,6 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{self, BufReader, Write};
-use std::path::PathBuf;
 use std::process::Child;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
@@ -52,14 +51,13 @@ use neurofail_inject::{
 use neurofail_nn::{net_to_bytes, Mlp, NetId};
 use neurofail_par::oneshot::Oneshot;
 use neurofail_par::Parallelism;
-use neurofail_serve::ServeConfig;
 
 use crate::proto::{
     code, push_message, read_message, retry_after, trial_to_result, Message, ProtocolError,
-    WireServeConfig, WireWorkerStats,
+    WireWorkerStats,
 };
 use crate::transport::{FleetListener, FleetStream, Transport};
-use crate::worker::{ENV_ADDR, ENV_CHAOS, ENV_GEN, ENV_STORE, ENV_WORKER};
+use crate::worker::{ENV_ADDR, ENV_CHAOS, ENV_GEN, ENV_WORKER};
 
 /// Fleet-wide plan identity, assigned by [`FleetRouter::register`].
 /// Distinct from the per-process `PlanId`s workers use internally.
@@ -77,8 +75,6 @@ pub struct WorkerLaunch {
     /// respawn). Echoed back in the worker's `Hello` so the router can
     /// reject a dead predecessor's still-queued dial.
     pub spawn_gen: u64,
-    /// Shared artifact-store directory, if the fleet uses one.
-    pub store_dir: Option<PathBuf>,
     /// Per-worker chaos seed (failpoints builds only).
     pub chaos_seed: Option<u64>,
 }
@@ -100,9 +96,6 @@ pub fn reexec_spawner(args: Vec<String>) -> WorkerSpawner {
             .env(ENV_WORKER, launch.worker.to_string())
             .env(ENV_GEN, launch.spawn_gen.to_string())
             .stdout(std::process::Stdio::null());
-        if let Some(dir) = &launch.store_dir {
-            cmd.env(ENV_STORE, dir);
-        }
         if let Some(seed) = launch.chaos_seed {
             cmd.env(ENV_CHAOS, seed.to_string());
         }
@@ -110,24 +103,18 @@ pub fn reexec_spawner(args: Vec<String>) -> WorkerSpawner {
     })
 }
 
+/// Unanswered pings before a worker process is killed and its work
+/// requeued.
+const MAX_MISSED_PINGS: u32 = 5;
+/// Connection losses (without intervening useful work) before a worker
+/// slot is quarantined instead of respawned.
+const MAX_WORKER_STRIKES: u32 = 3;
+
 /// Fleet deployment knobs.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
-    /// Socket flavour between router and workers.
-    pub transport: Transport,
-    /// Serving configuration pushed to every worker's embedded server.
-    pub serve: ServeConfig,
     /// Silence threshold before a worker with outstanding work is pinged.
     pub heartbeat: Duration,
-    /// Unanswered pings before the process is killed and its work
-    /// requeued.
-    pub max_missed_pings: u32,
-    /// Connection losses (without intervening useful work) before a
-    /// worker slot is quarantined instead of respawned.
-    pub max_worker_strikes: u32,
-    /// Shared [`ArtifactStore`](neurofail_inject::ArtifactStore)
-    /// directory handed to every worker (fleet-wide warm starts).
-    pub store_dir: Option<PathBuf>,
     /// Base chaos seed; worker `i` self-arms from `seed + i` on every
     /// (re)spawn (failpoints builds only).
     pub chaos_seed: Option<u64>,
@@ -136,15 +123,7 @@ pub struct FleetConfig {
 impl Default for FleetConfig {
     fn default() -> Self {
         FleetConfig {
-            transport: Transport::Unix,
-            serve: ServeConfig {
-                record_log: true,
-                ..ServeConfig::default()
-            },
             heartbeat: Duration::from_millis(200),
-            max_missed_pings: 5,
-            max_worker_strikes: 3,
-            store_dir: None,
             chaos_seed: None,
         }
     }
@@ -464,7 +443,6 @@ impl Supervisor {
             addr: self.addr.clone(),
             worker: i,
             spawn_gen: self.workers[i].spawn_gen,
-            store_dir: self.cfg.store_dir.clone(),
             // Fold the spawn generation in: each life of a slot draws a
             // *distinct* (still deterministic) chaos schedule, so a
             // self-armed worker that dies early cannot crash-loop on the
@@ -482,7 +460,7 @@ impl Supervisor {
             Err(_) => {
                 // An unlaunchable slot behaves like a dead one; its work
                 // moves on via the quarantine path.
-                self.workers[i].strikes = self.cfg.max_worker_strikes;
+                self.workers[i].strikes = MAX_WORKER_STRIKES;
             }
         }
     }
@@ -674,7 +652,7 @@ impl Supervisor {
             return;
         }
 
-        if self.workers[i].strikes >= self.cfg.max_worker_strikes {
+        if self.workers[i].strikes >= MAX_WORKER_STRIKES {
             if !self.workers[i].quarantined {
                 self.workers[i].quarantined = true;
                 self.stats.worker_quarantines += 1;
@@ -771,16 +749,7 @@ impl Supervisor {
             }
         });
 
-        let wire = WireServeConfig {
-            max_batch: self.cfg.serve.max_batch as u64,
-            max_wait_nanos: self.cfg.serve.max_wait.as_nanos() as u64,
-            queue_capacity: self.cfg.serve.queue_capacity as u64,
-            record_log: true,
-            max_plan_strikes: self.cfg.serve.max_plan_strikes as u64,
-        };
-        if self.send_to(i, &Message::Configure(wire)) {
-            self.flush(i);
-        }
+        self.flush(i);
     }
 
     fn on_frame(&mut self, i: usize, gen: u64, msg: Message) {
@@ -832,7 +801,7 @@ impl Supervisor {
                     j.slot.fill(Ok(merge_trials(per_trial)));
                 }
             }
-            Message::Pong { .. } | Message::Registered { .. } | Message::Hello { .. } => {}
+            Message::Pong { .. } | Message::Hello { .. } => {}
             Message::StatsReply(s) => {
                 if let Some(c) = self.stats_pending.as_mut() {
                     if c.want.remove(&i) {
@@ -891,7 +860,7 @@ impl Supervisor {
             if !silent {
                 continue;
             }
-            if self.workers[i].missed_pings >= self.cfg.max_missed_pings {
+            if self.workers[i].missed_pings >= MAX_MISSED_PINGS {
                 self.stats.heartbeat_kills += 1;
                 self.conn_lost(i);
             } else {
@@ -1210,16 +1179,17 @@ pub struct FleetRouter {
 }
 
 impl FleetRouter {
-    /// Bind a listener, launch `n_workers` processes via `spawner`, and
-    /// start supervising. Workers dial in asynchronously; traffic
-    /// submitted before a worker connects queues and flushes on arrival.
+    /// Bind a unix-socket listener, launch `n_workers` processes via
+    /// `spawner`, and start supervising. Workers dial in asynchronously;
+    /// traffic submitted before a worker connects queues and flushes on
+    /// arrival.
     pub fn start(
         cfg: FleetConfig,
         n_workers: usize,
         spawner: WorkerSpawner,
     ) -> io::Result<FleetRouter> {
         assert!(n_workers >= 1, "a fleet needs at least one worker");
-        let listener = FleetListener::bind(cfg.transport)?;
+        let listener = FleetListener::bind(Transport::Unix)?;
         let addr = listener.addr();
         let (tx, rx) = mpsc::channel::<Event>();
         let stop_accept = Arc::new(AtomicBool::new(false));

@@ -1,15 +1,17 @@
-//! The fleet worker process: a thin socket shell around an embedded
-//! [`CertServer`].
+//! The fleet worker process: a thin socket shell around one embedded
+//! [`CertServer`] per admitted plan.
 //!
 //! A worker dials the router's address (handed down through the
 //! environment — see [`ENV_ADDR`]), introduces itself with
 //! [`Message::Hello`], and then serves the router's frames until told to
-//! shut down or until the connection dies. Everything that actually
-//! evaluates a disturbance runs through the same supervised serving
-//! engine a single-process deployment uses — the worker adds *no*
-//! numeric code of its own, which is what makes the fleet's bitwise
-//! equivalence to a single [`CertServer`] a protocol property rather
-//! than a numerical one.
+//! shut down or until the connection dies. Each [`Message::Register`]
+//! starts that plan's server over a one-plan registry, so a late
+//! registration leaves the servers already running untouched. Everything
+//! that actually evaluates a disturbance runs through the same
+//! supervised serving engine a single-process deployment uses — the
+//! worker adds *no* numeric code of its own, which is what makes the
+//! fleet's bitwise equivalence to a single [`CertServer`] a protocol
+//! property rather than a numerical one.
 //!
 //! Failure discipline:
 //!
@@ -25,19 +27,16 @@
 //!   process-level chaos composes with the serving engine's own
 //!   failpoint sites.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::io::{BufReader, Write};
-use std::path::PathBuf;
 use std::sync::mpsc::{self, TryRecvError};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
-use neurofail_inject::{ArtifactStore, CampaignConfig, PlanRegistry, TrialKind};
+use neurofail_inject::{CampaignConfig, PlanId, PlanRegistry, TrialKind};
 use neurofail_nn::{net_from_bytes, Mlp};
 use neurofail_par::{failpoint, Parallelism};
 use neurofail_serve::{
-    share_store, CertServer, LogEntry, RequestError, RequestLog, ServeConfig, SharedArtifactStore,
-    SubmitError,
+    CertServer, RequestError, RequestLog, ResponseHandle, ServeConfig, SubmitError,
 };
 
 use crate::proto::{
@@ -50,8 +49,6 @@ use crate::transport::FleetStream;
 pub const ENV_ADDR: &str = "NEUROFAIL_FLEET_ADDR";
 /// Env var carrying this worker's fleet slot index.
 pub const ENV_WORKER: &str = "NEUROFAIL_FLEET_WORKER";
-/// Env var carrying the shared [`ArtifactStore`] directory (optional).
-pub const ENV_STORE: &str = "NEUROFAIL_FLEET_STORE";
 /// Env var carrying a chaos seed the worker self-arms from (optional;
 /// effective only when built with `--features failpoints`).
 pub const ENV_CHAOS: &str = "NEUROFAIL_FLEET_CHAOS";
@@ -93,9 +90,8 @@ pub fn run_worker_from_env() -> i32 {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(0u64);
-    let store_dir = std::env::var(ENV_STORE).ok().map(PathBuf::from);
     let chaos_seed: Option<u64> = std::env::var(ENV_CHAOS).ok().and_then(|s| s.parse().ok());
-    match run_worker(&addr, worker, gen, store_dir, chaos_seed) {
+    match run_worker(&addr, worker, gen, chaos_seed) {
         Ok(()) => 0,
         Err(ProtocolError::Closed) => 0,
         Err(e) => {
@@ -112,12 +108,12 @@ pub fn run_worker(
     addr: &str,
     worker: u64,
     gen: u64,
-    store_dir: Option<PathBuf>,
     chaos_seed: Option<u64>,
 ) -> Result<(), ProtocolError> {
     #[cfg(feature = "failpoints")]
     let _chaos = chaos_seed.map(|seed| {
         use neurofail_par::failpoint::{ChaosAction, ChaosSchedule};
+        use std::time::Duration;
         // Low per-hit probabilities, one fire per site: each chaotic
         // worker life fails at most a few times, in ways the router's
         // supervision must absorb (recv panic = process death 101, answer
@@ -143,32 +139,15 @@ pub fn run_worker(
     let mut reader = BufReader::with_capacity(1 << 16, stream);
     send(&writer, &Message::Hello { worker, gen })?;
 
-    let store: Option<SharedArtifactStore> = match store_dir {
-        None => None,
-        Some(dir) => Some(share_store(
-            ArtifactStore::open(dir).map_err(ProtocolError::from)?,
-        )),
-    };
-
-    let mut state = WorkerState {
-        cfg: ServeConfig {
-            record_log: true,
-            ..ServeConfig::default()
-        },
-        registry: PlanRegistry::new(),
-        plan_map: HashMap::new(),
-        server: None,
-        store,
-        log: Vec::new(),
-        acc: WireWorkerStats::default(),
-    };
+    // Fleet-wide plan id → that plan's registry and server.
+    let mut plans: HashMap<u64, PlanServer> = HashMap::new();
 
     // The answer pump: resolves responses strictly in submission order
     // and writes them back, so the main loop never blocks on a wait.
     // Answers collect in `out` and go out in one write just before the
     // pump blocks — on an empty channel or an unresolved handle — so no
     // answer waits on a later one.
-    let (pump_tx, pump_rx) = mpsc::channel::<(u64, neurofail_serve::ResponseHandle)>();
+    let (pump_tx, pump_rx) = mpsc::channel::<(u64, ResponseHandle)>();
     let pump_writer = Arc::clone(&writer);
     let pump = std::thread::spawn(move || {
         let _guard = AbortOnPanic;
@@ -220,30 +199,23 @@ pub fn run_worker(
             Err(e) => break Err(reset(&writer, reader.get_ref(), e)),
         };
         match msg {
-            Message::Configure(wire) => {
-                state.retire_server();
-                state.cfg = ServeConfig {
-                    max_batch: wire.max_batch as usize,
-                    max_wait: Duration::from_nanos(wire.max_wait_nanos),
-                    queue_capacity: wire.queue_capacity as usize,
-                    record_log: wire.record_log,
-                    max_plan_strikes: u32::try_from(wire.max_plan_strikes)
-                        .expect("Message::decode bounds max_plan_strikes"),
-                    ..ServeConfig::default()
-                };
-            }
             Message::Register {
                 plan,
                 net,
                 plan_bytes,
                 capacity,
             } => {
-                if let Err(e) = state.register(plan, &net, &plan_bytes, capacity) {
-                    break Err(reset(&writer, reader.get_ref(), e));
+                // A worker already holding the plan ignores a repeat.
+                if let Entry::Vacant(slot) = plans.entry(plan) {
+                    match PlanServer::start(&net, &plan_bytes, capacity) {
+                        Ok(served) => {
+                            slot.insert(served);
+                        }
+                        Err(e) => break Err(reset(&writer, reader.get_ref(), e)),
+                    }
                 }
-                send(&writer, &Message::Registered { plan })?;
             }
-            Message::Query { seq, plan, input } => match state.submit(plan, input) {
+            Message::Query { seq, plan, input } => match submit(&plans, plan, input) {
                 Ok(handle) => {
                     if pump_tx.send((seq, handle)).is_err() {
                         break Err(ProtocolError::Io(std::io::ErrorKind::BrokenPipe));
@@ -283,15 +255,22 @@ pub fn run_worker(
             }
             Message::Ping { nonce } => send(&writer, &Message::Pong { nonce })?,
             Message::StatsReq => {
-                let stats = state.stats_snapshot();
+                let stats = stats_snapshot(&plans);
                 send(&writer, &Message::StatsReply(stats))?;
             }
             Message::AuditReq => {
-                let (entries, ok) = state.audit();
+                let (mut entries, mut ok) = (0, true);
+                for served in plans.values_mut() {
+                    let (n, verified) = served.audit();
+                    entries += n;
+                    ok &= verified;
+                }
                 send(&writer, &Message::AuditReply { entries, ok })?;
             }
             Message::Shutdown => {
-                state.retire_server();
+                // Drain and join every server before the goodbye, so
+                // every accepted query resolves.
+                plans.clear();
                 let _ = send(&writer, &Message::Bye { code: 0 });
                 break Ok(());
             }
@@ -305,7 +284,7 @@ pub fn run_worker(
     };
 
     drop(pump_tx);
-    state.retire_server();
+    drop(plans);
     for t in campaign_threads {
         let _ = t.join();
     }
@@ -345,143 +324,89 @@ fn run_shard(
         .collect()
 }
 
-struct WorkerState {
-    cfg: ServeConfig,
+/// One admitted plan: its one-plan registry (the replay reference), the
+/// server that serves it, and every request it answered so far.
+struct PlanServer {
     registry: PlanRegistry,
-    /// Fleet-wide plan id → this process's registry id.
-    plan_map: HashMap<u64, neurofail_inject::PlanId>,
-    server: Option<CertServer>,
-    store: Option<SharedArtifactStore>,
-    /// Request-log entries accumulated across server rebuilds.
-    log: Vec<LogEntry>,
-    /// Stats accumulated across server rebuilds.
-    acc: WireWorkerStats,
+    id: PlanId,
+    server: CertServer,
+    log: RequestLog,
 }
 
-impl WorkerState {
-    /// Lazily (re)build the embedded server over the current plan set.
-    fn server(&mut self) -> &CertServer {
-        if self.server.is_none() {
-            let server = match &self.store {
-                Some(store) => {
-                    CertServer::start_with_store(&self.registry, self.cfg, Arc::clone(store))
-                }
-                None => CertServer::start(&self.registry, self.cfg),
-            };
-            self.server = Some(server);
-        }
-        self.server.as_ref().expect("just built")
-    }
-
-    /// Shut the embedded server down (if any), folding its request log
-    /// and serving stats into the process totals.
-    fn retire_server(&mut self) {
-        if let Some(server) = self.server.take() {
-            // Drain-then-take: rows still in flight at the rebuild are
-            // answered (and logged) before the log is captured.
-            let (log, all_stats) = server.retire();
-            self.log.extend(log.entries);
-            for stats in all_stats {
-                self.acc.requests += stats.requests;
-                self.acc.rows_served += stats.rows_served;
-                self.acc.checkpoint_hits += stats.checkpoint_hits;
-                self.acc.checkpoint_rows_reused += stats.checkpoint_rows_reused;
-                self.acc.store_hits += stats.store_hits;
-                self.acc.store_rows_reused += stats.store_rows_reused;
-                self.acc.store_publishes += stats.store_publishes;
-                self.acc.serve_restarts += stats.worker_restarts;
-                self.acc.serve_rows_requeued += stats.rows_requeued;
-                self.acc.plans_quarantined += stats.plans_quarantined;
-            }
-            self.acc.server_rebuilds += 1;
-        }
-    }
-
-    /// Admit fleet plan `plan` unless this process already holds it.
-    fn register(
-        &mut self,
-        plan: u64,
-        net: &[u8],
-        plan_bytes: &[u8],
-        capacity: f64,
-    ) -> Result<(), ProtocolError> {
-        if self.plan_map.contains_key(&plan) {
-            return Ok(());
-        }
+impl PlanServer {
+    /// Admit the plan and start its server. Fleet workers never coalesce
+    /// plans, so one server per plan runs the shards a shared server
+    /// would.
+    fn start(net: &[u8], plan_bytes: &[u8], capacity: f64) -> Result<PlanServer, ProtocolError> {
         let net = Arc::new(net_from_bytes(net)?);
-        let decoded = plan_from_bytes(plan_bytes)?;
-        // Registration after the server exists forces a rebuild; retire
-        // the old one so its log and stats survive into this process's
-        // totals.
-        self.retire_server();
-        let id = self
-            .registry
-            .register(net, &decoded, capacity)
+        let plan = plan_from_bytes(plan_bytes)?;
+        let mut registry = PlanRegistry::new();
+        let id = registry
+            .register(net, &plan, capacity)
             .map_err(|_| ProtocolError::Malformed("plan failed admission"))?;
-        self.plan_map.insert(plan, id);
-        Ok(())
-    }
-
-    fn submit(
-        &mut self,
-        plan: u64,
-        input: Vec<f64>,
-    ) -> Result<neurofail_serve::ResponseHandle, (u64, u64)> {
-        let Some(&local) = self.plan_map.get(&plan) else {
-            return Err((code::UNKNOWN_PLAN, 0));
-        };
-        self.server().submit(local, input).map_err(|e| match e {
-            SubmitError::UnknownPlan(_) => (code::UNKNOWN_PLAN, 0),
-            SubmitError::DimensionMismatch { .. } => (code::DIMENSION_MISMATCH, 0),
-            SubmitError::QueueFull { retry_after, .. } => {
-                (code::QUEUE_FULL, retry_after.as_nanos() as u64)
-            }
-            SubmitError::Overloaded { estimated_wait, .. } => {
-                (code::OVERLOADED, estimated_wait.as_nanos() as u64)
-            }
-            SubmitError::Quarantined(_) => (code::QUARANTINED, 0),
-            SubmitError::ShardDown(_) => (code::SHARD_DOWN, 0),
-            _ => (code::SHARD_DOWN, 0),
+        let server = CertServer::start(
+            &registry,
+            ServeConfig {
+                record_log: true,
+                ..ServeConfig::default()
+            },
+        );
+        Ok(PlanServer {
+            registry,
+            id,
+            server,
+            log: RequestLog::default(),
         })
     }
 
-    fn stats_snapshot(&mut self) -> WireWorkerStats {
-        let mut out = self.acc;
-        if let Some(server) = &self.server {
-            let ids: Vec<_> = self.registry.iter().map(|(id, _)| id).collect();
-            for id in ids {
-                if let Some(stats) = server.stats(id) {
-                    out.requests += stats.requests;
-                    out.rows_served += stats.rows_served;
-                    out.checkpoint_hits += stats.checkpoint_hits;
-                    out.checkpoint_rows_reused += stats.checkpoint_rows_reused;
-                    out.store_hits += stats.store_hits;
-                    out.store_rows_reused += stats.store_rows_reused;
-                    out.store_publishes += stats.store_publishes;
-                    out.serve_restarts += stats.worker_restarts;
-                    out.serve_rows_requeued += stats.rows_requeued;
-                    out.plans_quarantined += stats.plans_quarantined;
-                }
-            }
-        }
-        out
-    }
-
-    /// Replay-verify everything this process ever answered: the live
-    /// server's log plus everything accumulated across rebuilds, checked
-    /// bitwise against direct evaluation.
+    /// Replay-verify everything this plan's server ever answered,
+    /// bitwise against direct evaluation: `(entries, all verified)`.
     fn audit(&mut self) -> (u64, bool) {
-        let mut entries = self.log.clone();
-        if let Some(server) = &self.server {
-            entries.extend(server.take_log().entries.iter().cloned());
-            // take_log drained the live log; keep those entries for any
-            // later audit.
-            self.log.extend(entries[self.log.len()..].iter().cloned());
-        }
-        let log = RequestLog { entries };
-        let ok = log.verify(&self.registry).is_ok();
-        (log.len() as u64, ok)
+        self.log.entries.extend(self.server.take_log().entries);
+        let ok = self.log.verify(&self.registry).is_ok();
+        (self.log.len() as u64, ok)
     }
+}
+
+fn submit(
+    plans: &HashMap<u64, PlanServer>,
+    plan: u64,
+    input: Vec<f64>,
+) -> Result<ResponseHandle, (u64, u64)> {
+    let Some(served) = plans.get(&plan) else {
+        return Err((code::UNKNOWN_PLAN, 0));
+    };
+    served.server.submit(served.id, input).map_err(|e| match e {
+        SubmitError::UnknownPlan(_) => (code::UNKNOWN_PLAN, 0),
+        SubmitError::DimensionMismatch { .. } => (code::DIMENSION_MISMATCH, 0),
+        SubmitError::QueueFull { retry_after, .. } => {
+            (code::QUEUE_FULL, retry_after.as_nanos() as u64)
+        }
+        SubmitError::Overloaded { estimated_wait, .. } => {
+            (code::OVERLOADED, estimated_wait.as_nanos() as u64)
+        }
+        SubmitError::Quarantined(_) => (code::QUARANTINED, 0),
+        SubmitError::ShardDown(_) => (code::SHARD_DOWN, 0),
+        _ => (code::SHARD_DOWN, 0),
+    })
+}
+
+/// Every plan server's counters, summed.
+fn stats_snapshot(plans: &HashMap<u64, PlanServer>) -> WireWorkerStats {
+    let mut out = WireWorkerStats::default();
+    for served in plans.values() {
+        let Some(stats) = served.server.stats(served.id) else {
+            continue;
+        };
+        out.requests += stats.requests;
+        out.rows_served += stats.rows_served;
+        out.checkpoint_hits += stats.checkpoint_hits;
+        out.checkpoint_rows_reused += stats.checkpoint_rows_reused;
+        out.serve_restarts += stats.worker_restarts;
+        out.serve_rows_requeued += stats.rows_requeued;
+        out.plans_quarantined += stats.plans_quarantined;
+    }
+    out
 }
 
 fn send(writer: &Mutex<FleetStream>, msg: &Message) -> Result<(), ProtocolError> {

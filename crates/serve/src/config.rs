@@ -58,14 +58,6 @@ pub struct ServeConfig {
     /// (the default) never sheds; `Some(Duration::ZERO)` sheds whenever
     /// the queue is non-empty (useful in tests).
     pub shed_budget: Option<Duration>,
-    /// Deadline applied to every [`submit`](crate::CertServer::submit) /
-    /// [`query`](crate::CertServer::query) that does not carry its own
-    /// (via [`submit_within`](crate::CertServer::submit_within)): a
-    /// request still queued when its deadline passes is failed with a
-    /// typed [`RequestError::Deadline`](crate::RequestError) at the next
-    /// flush staging instead of being served late. `None` (the default)
-    /// means requests wait indefinitely.
-    pub default_deadline: Option<Duration>,
     /// How many flush panics *attributed to one plan's faulty suffix* a
     /// shard tolerates before it quarantines the plan (submissions then
     /// fail fast with
@@ -87,7 +79,6 @@ impl Default for ServeConfig {
             record_log: false,
             coalesce_plans: false,
             shed_budget: None,
-            default_deadline: None,
             max_plan_strikes: 3,
         }
     }

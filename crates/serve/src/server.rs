@@ -340,13 +340,6 @@ impl ResponseHandle {
     pub fn try_wait(&self) -> Option<Result<ServedResponse, RequestError>> {
         self.slot.wait_for(Duration::ZERO)
     }
-
-    /// Non-blocking probe for the success case only: `Some` once a
-    /// response is ready ([`try_wait`](Self::try_wait) additionally
-    /// distinguishes typed failures from still-pending).
-    pub fn poll(&self) -> Option<ServedResponse> {
-        self.try_wait().and_then(Result::ok)
-    }
 }
 
 /// One queued query. `slot` indexes the plan within its shard's plan
@@ -719,13 +712,8 @@ impl CertServer {
         }
     }
 
-    fn default_deadline(&self) -> Option<Instant> {
-        self.cfg.default_deadline.map(|d| Instant::now() + d)
-    }
-
     /// Enqueue a disturbance query against `plan`, blocking while the
-    /// shard's queue is full (backpressure). Carries
-    /// [`ServeConfig::default_deadline`] if one is configured.
+    /// shard's queue is full (backpressure).
     ///
     /// # Errors
     /// [`SubmitError::UnknownPlan`] / [`SubmitError::DimensionMismatch`]
@@ -735,7 +723,7 @@ impl CertServer {
     /// submission, and [`SubmitError::ShardDown`] in the unsupervised
     /// worker-death case (unreachable under supervision).
     pub fn submit(&self, plan: PlanId, input: Vec<f64>) -> Result<ResponseHandle, SubmitError> {
-        self.submit_inner(plan, input, self.default_deadline(), true)
+        self.submit_inner(plan, input, None, true)
     }
 
     /// [`submit`](Self::submit) with an explicit per-request deadline:
@@ -760,7 +748,7 @@ impl CertServer {
     /// # Errors
     /// As [`CertServer::submit`], plus [`SubmitError::QueueFull`].
     pub fn try_submit(&self, plan: PlanId, input: Vec<f64>) -> Result<ResponseHandle, SubmitError> {
-        self.submit_inner(plan, input, self.default_deadline(), false)
+        self.submit_inner(plan, input, None, false)
     }
 
     /// [`try_submit`](Self::try_submit) with capped-exponential backoff:
@@ -818,8 +806,7 @@ impl CertServer {
     /// As [`CertServer::submit`].
     ///
     /// # Panics
-    /// If the request fails with a typed [`RequestError`] (deadline
-    /// expiry under [`ServeConfig::default_deadline`], quarantine,
+    /// If the request fails with a typed [`RequestError`] (quarantine,
     /// unrecoverable worker death) — use [`submit`](Self::submit) +
     /// [`ResponseHandle::wait`] to handle those.
     pub fn query(&self, plan: PlanId, input: &[f64]) -> Result<f64, SubmitError> {
@@ -888,20 +875,6 @@ impl CertServer {
     /// other thread can still hold `&self` to submit with.
     pub fn shutdown(mut self) -> Vec<ServeStats> {
         self.shutdown_inner();
-        self.final_stats()
-    }
-
-    /// [`shutdown`](Self::shutdown) that also returns the *complete*
-    /// request log: the drain happens before the log is taken, so rows
-    /// still in flight at the call are included — unlike `take_log`
-    /// followed by `shutdown`, which loses entries answered during the
-    /// drain.
-    pub fn retire(mut self) -> (RequestLog, Vec<ServeStats>) {
-        self.shutdown_inner();
-        (self.take_log(), self.final_stats())
-    }
-
-    fn final_stats(&self) -> Vec<ServeStats> {
         self.routes
             .iter()
             .map(|&(shard, _)| self.shards[shard].shared.stats.snapshot(0))
@@ -1449,21 +1422,6 @@ mod tests {
         assert!(server.query(PlanId(0), &[0.3, 0.4]).is_ok());
         let stats = server.stats(PlanId(0)).unwrap();
         assert_eq!(stats.deadlines_expired, 1);
-        server.shutdown();
-    }
-
-    #[test]
-    fn generous_default_deadline_is_invisible() {
-        let reg = test_registry();
-        let server = CertServer::start(
-            &reg,
-            ServeConfig {
-                default_deadline: Some(Duration::from_secs(60)),
-                ..ServeConfig::default()
-            },
-        );
-        assert!(server.query(PlanId(0), &[0.1, 0.2]).is_ok());
-        assert_eq!(server.stats(PlanId(0)).unwrap().deadlines_expired, 0);
         server.shutdown();
     }
 

@@ -129,15 +129,10 @@ fn single_process_reference(
 
 fn chaotic_config(seed: u64) -> FleetConfig {
     FleetConfig {
-        serve: ServeConfig {
-            record_log: true,
-            ..ServeConfig::default()
-        },
         // Tight heartbeat so stalled answer pumps are detected within
         // the test's patience.
         heartbeat: std::time::Duration::from_millis(100),
         chaos_seed: Some(seed),
-        ..FleetConfig::default()
     }
 }
 
@@ -264,7 +259,7 @@ fn seeded_chaos_loses_nothing_duplicates_nothing_corrupts_nothing() {
 /// A killed worker's warm streaming state (the checkpoints its serve
 /// workers' caches hold) degrades only to recomputation: re-served values
 /// after the kill are bitwise identical; the only observable difference
-/// is statistical (respawn/requeue counters, rebuilt servers).
+/// is statistical (respawn/requeue counters).
 #[test]
 fn killed_worker_streaming_state_degrades_only_in_stats() {
     let _session = chaos_session();
@@ -275,14 +270,7 @@ fn killed_worker_streaming_state_degrades_only_in_stats() {
 
     // Single worker, *no* self-armed chaos: the only fault is the
     // SIGKILL, so the delta is attributable to it.
-    let cfg = FleetConfig {
-        serve: ServeConfig {
-            record_log: true,
-            ..ServeConfig::default()
-        },
-        ..FleetConfig::default()
-    };
-    let fleet = FleetRouter::start(cfg, 1, spawner()).unwrap();
+    let fleet = FleetRouter::start(FleetConfig::default(), 1, spawner()).unwrap();
     let ids: Vec<_> = plans
         .iter()
         .map(|p| fleet.register_hot(&net, p, 1.0).unwrap())
@@ -328,8 +316,8 @@ fn killed_worker_streaming_state_degrades_only_in_stats() {
 /// bitwise the single-process one, and counted once.
 #[test]
 fn failed_batched_write_requeues_every_row_it_carried() {
-    // Warm-up writes at most 2 Configures and 8 one-query writes; the
-    // pipelined waves below write at least twice each.
+    // Warm-up writes at most 8 one-query writes; the pipelined waves
+    // below write at least twice each.
     const ARMED_WRITE: u64 = 16;
     const WAVES: usize = 12;
     const WAVE: usize = 8;
@@ -343,14 +331,7 @@ fn failed_batched_write_requeues_every_row_it_carried() {
         ChaosAction::Reject,
         ARMED_WRITE,
     ));
-    let cfg = FleetConfig {
-        serve: ServeConfig {
-            record_log: true,
-            ..ServeConfig::default()
-        },
-        ..FleetConfig::default()
-    };
-    let fleet = FleetRouter::start(cfg, 2, spawner()).unwrap();
+    let fleet = FleetRouter::start(FleetConfig::default(), 2, spawner()).unwrap();
     let ids: Vec<_> = plans
         .iter()
         .map(|p| fleet.register_hot(&net, p, 1.0).unwrap())

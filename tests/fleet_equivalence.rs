@@ -13,7 +13,10 @@
 //!   and campaign shards are in flight) changes *nothing* about the
 //!   answers: unanswered rows requeue to the respawned process, no
 //!   request is lost or double-answered, and every surviving worker's
-//!   request log replay-verifies bitwise.
+//!   request log replay-verifies bitwise;
+//! * a plan registered while another already serves on the same worker
+//!   starts its own server beside it, so the first plan's server — and
+//!   its checkpoint cache — keeps running.
 //!
 //! The file also holds the fleet saturation gate, an ignored test that
 //! measures wall time and runs in release by name.
@@ -336,6 +339,39 @@ fn mid_run_membership_change_preserves_every_answer() {
     fleet.shutdown();
 }
 
+/// A late registration leaves the plans already serving untouched: on a
+/// one-worker fleet, A(x), B(y), A(x) ships B to the worker between A's
+/// two flushes, and A's repeat flush still hits the checkpoint its first
+/// flush left in A's server's cache.
+#[test]
+fn late_registration_keeps_served_plans_running() {
+    let net = Arc::new(build_net(0x1A7E, 2, 6));
+    // plan_family's crash and Byzantine plans, as A and B.
+    let plans = plan_family(&net, 0x1A7E)[1..3].to_vec();
+    let (x, y) = (vec![0.3, -0.6, 0.9], vec![-0.2, 0.5, 0.1]);
+    let mix = [(0, x.clone()), (1, y), (0, x)];
+    let expect = single_process_reference(&net, &plans, &mix);
+
+    let fleet = FleetRouter::start(FleetConfig::default(), 1, spawner()).unwrap();
+    let ids: Vec<_> = plans
+        .iter()
+        .map(|p| fleet.register(&net, p, 1.0).unwrap())
+        .collect();
+    for (k, (p, input)) in mix.iter().enumerate() {
+        let got = fleet.query(ids[*p], input).expect("fleet answers");
+        assert_eq!(got.to_bits(), expect[k].to_bits(), "query {k} diverged");
+    }
+    let worker = fleet.stats().workers[0].expect("worker 0 reports");
+    assert_eq!(
+        worker.checkpoint_hits, 1,
+        "A's repeat flush must hit its server's cache: {worker:?}"
+    );
+    let audit = fleet.audit();
+    assert!(audit.clean(), "request logs must replay bitwise");
+    assert_eq!(audit.entries(), 3);
+    fleet.shutdown();
+}
+
 /// Median, lower and upper quartile of `xs` (nearest rank).
 fn quartiles(xs: &[f64]) -> (f64, f64, f64) {
     let mut v = xs.to_vec();
@@ -393,8 +429,8 @@ fn one_worker_fleet_keeps_ninety_percent_of_in_process_throughput() {
     }
     // A fleet of `n` with the plans registered hot and every (plan,
     // worker) route warmed: hot plans round-robin, so n queries per plan
-    // pull lazy registration (net transfer, embedded-server rebuild) out
-    // of the timed passes.
+    // pull lazy registration (net transfer, plan server start) out of
+    // the timed passes.
     let fleet_of = |n: usize| {
         let fleet = FleetRouter::start(FleetConfig::default(), n, spawner()).unwrap();
         let fids: Vec<_> = plans

@@ -1,13 +1,12 @@
 //! Wire-fuzz certification of the fleet protocol:
 //!
 //! * **decode fuzz** — bit flips, truncations, oversized length
-//!   prefixes, stale versions, unknown kinds and pure garbage against
-//!   `read_frame`/`Message::decode`: every mutation yields a typed
-//!   [`ProtocolError`] or the bit-exact original message — never a
+//!   prefixes, stale versions, unknown and retired kinds and pure garbage
+//!   against `read_frame`/`Message::decode`: every mutation yields a
+//!   typed [`ProtocolError`] or the bit-exact original message — never a
 //!   panic, a hang, or a silently different message; and a well-formed
-//!   frame carrying a value the worker's embedded server would panic on
-//!   (a capacity that is not positive, zero batch or queue sizes,
-//!   out-of-range plan strikes) decodes to `Malformed`;
+//!   frame carrying a capacity the worker would panic on (one that is not
+//!   positive) decodes to `Malformed`;
 //! * **live worker leg** — a *real* worker process (re-invocation of
 //!   this binary) fed garbage, such values, or net bytes that do not
 //!   decode over its socket replies `Bye` with a nonzero reason, resets the connection, and exits with
@@ -19,8 +18,8 @@ use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 use neurofail::fleet::proto::{
-    encode_frame, read_message, write_message, Message, ProtocolError, WireServeConfig, WireTrial,
-    WireWorkerStats, MAX_PAYLOAD, PROTO_VERSION,
+    encode_frame, read_message, write_message, Message, ProtocolError, WireTrial, WireWorkerStats,
+    MAX_PAYLOAD, PROTO_VERSION,
 };
 use neurofail::fleet::{FleetListener, Transport, ENV_ADDR, ENV_WORKER};
 use neurofail::inject::{
@@ -44,13 +43,6 @@ fn corpus() -> Vec<Message> {
     let plan = InjectionPlan::byzantine([(0, 1)], ByzantineStrategy::Random { seed: 7 });
     vec![
         Message::Hello { worker: 3, gen: 7 },
-        Message::Configure(WireServeConfig {
-            max_batch: 64,
-            max_wait_nanos: 100_000,
-            queue_capacity: 1024,
-            record_log: true,
-            max_plan_strikes: 3,
-        }),
         Message::Register {
             plan: 9,
             net: vec![0u8; 40],
@@ -80,7 +72,6 @@ fn corpus() -> Vec<Message> {
         Message::StatsReq,
         Message::AuditReq,
         Message::Shutdown,
-        Message::Registered { plan: 9 },
         Message::Answer {
             seq: 101,
             value: -0.125,
@@ -127,7 +118,7 @@ proptest! {
     /// original. The checksum covers the header words too, so kind
     /// flips cannot silently alias same-shaped messages (Ping ↔ Pong).
     #[test]
-    fn any_single_bit_flip_is_caught(msg_i in 0usize..17, pos in 0usize..4096, bit in 0usize..8) {
+    fn any_single_bit_flip_is_caught(msg_i in 0usize..15, pos in 0usize..4096, bit in 0usize..8) {
         let corpus = corpus();
         let msg = &corpus[msg_i % corpus.len()];
         let (kind, payload) = msg.encode();
@@ -143,7 +134,7 @@ proptest! {
     /// Truncating a frame anywhere yields `Closed` (empty), `Truncated`,
     /// or a typed decode error — never a panic or a wrong message.
     #[test]
-    fn any_truncation_is_typed(msg_i in 0usize..17, keep in 0usize..4096) {
+    fn any_truncation_is_typed(msg_i in 0usize..15, keep in 0usize..4096) {
         let corpus = corpus();
         let msg = &corpus[msg_i % corpus.len()];
         let (kind, payload) = msg.encode();
@@ -192,6 +183,17 @@ fn header_attacks_are_typed_and_bounded() {
         Err(ProtocolError::Version { got, want }) if got == PROTO_VERSION + 1 && want == PROTO_VERSION
     ));
 
+    // A well-formed frame of the previous version, checksum and all.
+    let mut v2 = good.clone();
+    v2[8..16].copy_from_slice(&2u64.to_le_bytes());
+    let mut covered = v2[..32].to_vec();
+    covered.extend_from_slice(&v2[40..]);
+    v2[32..40].copy_from_slice(&neurofail::tensor::checksum64(&covered).to_le_bytes());
+    assert_eq!(
+        decode_bytes(&v2),
+        Err(ProtocolError::Version { got: 2, want: 3 })
+    );
+
     // Unknown kind.
     let mut unknown = good.clone();
     unknown[16..24].copy_from_slice(&999u64.to_le_bytes());
@@ -199,6 +201,13 @@ fn header_attacks_are_typed_and_bounded() {
         decode_bytes(&unknown),
         Err(ProtocolError::UnknownKind(999))
     ));
+
+    // Retired kinds 2 and 10 (version 2's serving config and registration
+    // ack), in well-checksummed frames of their old payload sizes.
+    for (kind, words) in [(2u64, 5usize), (10, 1)] {
+        let frame = encode_frame(kind, &vec![0u8; 8 * words]);
+        assert_eq!(decode_bytes(&frame), Err(ProtocolError::UnknownKind(kind)));
+    }
 
     // Oversized length prefix: typed rejection, no attempt to read the
     // claimed 2^60 bytes (the call returns immediately on a short input).
@@ -246,9 +255,8 @@ fn header_attacks_are_typed_and_bounded() {
     ));
 }
 
-/// Frames whose values would panic the worker's embedded server decode
-/// to `Malformed`: capacities that are not `> 0.0` in `Register` and
-/// `Shard`, and `Configure` sizes its `ServeConfig` rejects. A capacity
+/// Frames whose values would panic the worker decode to `Malformed`:
+/// capacities that are not `> 0.0` in `Register` and `Shard`. A capacity
 /// of +∞ stays legal, as it is for `CompiledPlan::compile`.
 #[test]
 fn crashing_values_are_malformed_at_decode() {
@@ -272,15 +280,6 @@ fn crashing_values_are_malformed_at_decode() {
         first: 0,
         count: 10,
     };
-    let configure = |max_batch, queue_capacity, max_plan_strikes| {
-        Message::Configure(WireServeConfig {
-            max_batch,
-            max_wait_nanos: 100_000,
-            queue_capacity,
-            record_log: true,
-            max_plan_strikes,
-        })
-    };
     let frame = |msg: &Message| {
         let (kind, payload) = msg.encode();
         encode_frame(kind, &payload)
@@ -291,21 +290,13 @@ fn crashing_values_are_malformed_at_decode() {
         register(f64::NAN),
         shard(0.0),
         shard(f64::NAN),
-        configure(0, 1024, 3),
-        configure(64, 0, 3),
-        configure(64, 1024, 0),
-        configure(64, 1024, 1 << 32),
     ] {
         assert!(
             matches!(decode_bytes(&frame(&bad)), Err(ProtocolError::Malformed(_))),
             "{bad:?} must be malformed"
         );
     }
-    for good in [
-        register(f64::INFINITY),
-        shard(f64::INFINITY),
-        configure(1, 1, u64::from(u32::MAX)),
-    ] {
+    for good in [register(f64::INFINITY), shard(f64::INFINITY)] {
         assert_eq!(decode_bytes(&frame(&good)).expect("legal"), good);
     }
 }
@@ -351,17 +342,6 @@ fn live_worker_survives_garbage_with_typed_reset() {
         Message::Hello { worker: 0, gen: 0 } => {}
         other => panic!("expected Hello, got {other:?}"),
     }
-    write_message(
-        &mut conn,
-        &Message::Configure(WireServeConfig {
-            max_batch: 64,
-            max_wait_nanos: 100_000,
-            queue_capacity: 1024,
-            record_log: true,
-            max_plan_strikes: 3,
-        }),
-    )
-    .unwrap();
 
     // Garbage: a corrupted Query frame (checksum cannot match).
     let (kind, payload) = Message::Query {
