@@ -198,12 +198,12 @@ impl CompiledPlan {
     /// the suffix engine's reference implementation. The hot loops
     /// (campaigns, exhaustive sweeps, serve flushes) now route through
     /// [`CompiledPlan::output_error_resumed`] / [`crate::multi`], which
-    /// skip the faulty pass's unfaulted prefix and are **bitwise** equal
-    /// to this call; this two-full-passes form remains the contract both
-    /// are stated against (and what the adversarial input search, whose
-    /// candidate inputs change every step, still uses directly). As
-    /// singleton rows it is also the reference for the serving engine's
-    /// bitwise contract.
+    /// take the nominal part of the faulty pass from a checkpoint and are
+    /// **bitwise** equal to this call; this two-full-passes form remains
+    /// the contract both are stated against (and what the adversarial
+    /// input search, whose candidate inputs change every step, still uses
+    /// directly). As singleton rows it is also the reference for the
+    /// serving engine's bitwise contract.
     ///
     /// # Example
     /// ```
@@ -240,20 +240,18 @@ impl CompiledPlan {
         errors
     }
 
-    /// The earliest forward-pass stage this plan interposes on, as the
-    /// layer a resumed faulty pass must restart from:
-    ///
-    /// * `l` — the plan faults layer `l`'s pre-activation sums (a hidden
-    ///   synapse into `l`) or post-activation outputs (a neuron of `l`),
-    ///   whichever site is earliest;
-    /// * `depth` (= number of per-layer site tables) — the plan touches
-    ///   only output synapses, or nothing at all: every hidden layer of a
-    ///   faulty pass is bitwise nominal and only the output dot product
-    ///   differs.
+    /// The earliest layer this plan interposes on: the first layer with a
+    /// neuron site (post-activation outputs) or a hidden synapse into it
+    /// (pre-activation sums), or `depth` (= number of per-layer site
+    /// tables) when the plan touches only output synapses, or nothing at
+    /// all — then every hidden layer of a faulty pass is bitwise nominal
+    /// and only the output dot product differs.
     ///
     /// Layers `< first_faulty_layer()` of a faulty pass recompute exactly
-    /// the nominal values, which is what lets the suffix engine replace
-    /// them with a shared checkpoint (see [`crate::multi`]).
+    /// the nominal values, and so do the sums and activations of layer
+    /// `first_faulty_layer()` itself when the plan has no synapse into
+    /// it; [`CompiledPlan::resume_start`] turns that into where a resumed
+    /// pass starts (see [`crate::multi`]).
     pub fn first_faulty_layer(&self) -> usize {
         self.neuron_sites
             .iter()
@@ -262,68 +260,107 @@ impl CompiledPlan {
             .unwrap_or(self.neuron_sites.len())
     }
 
-    /// Run the faulty pass as a **suffix resume**: `resume_input` holds
-    /// the nominal layer-`from_layer − 1` activations (see
-    /// [`Mlp::resume_batch_from`]), and only layers `from_layer..L` plus
-    /// the output combination are recomputed under this plan's taps.
+    /// Where this plan's faulty pass resumes against a nominal checkpoint,
+    /// chosen from its own sites: with first faulty layer `f`,
+    ///
+    /// * [`ResumeStart::AfterActivation`]`(f)` when layer `f` has neuron
+    ///   sites and no hidden synapse into it — its sums and activations
+    ///   are nominal, so the checkpoint's layer-`f` outputs plus the
+    ///   plan's layer-`f` neuron faults are exactly what the full faulty
+    ///   pass computes there (Definition 2: a failed neuron changes only
+    ///   its own outgoing value; `OpposeNominal` reads the nominal value
+    ///   it overwrites);
+    /// * [`ResumeStart::Layer`]`(f)` otherwise — a synapse into `f`
+    ///   changes its sums, and `f = depth` leaves only the output stage.
+    ///
+    /// Every checkpointed path follows it:
+    /// [`CompiledPlan::resume_batch_checkpointed`], and through it
+    /// [`CompiledPlan::output_error_checkpointed`],
+    /// [`CompiledPlan::output_error_resumed`] and [`crate::multi`].
+    pub fn resume_start(&self) -> ResumeStart {
+        let f = self.first_faulty_layer();
+        match self.synapse_sites.get(f) {
+            Some(synapses) if synapses.is_empty() => ResumeStart::AfterActivation(f),
+            _ => ResumeStart::Layer(f),
+        }
+    }
+
+    /// Run the faulty pass from an explicit `start` over `start_input`,
+    /// the matrix (or rows of the matrix) [`ResumeStart::input`] selects
+    /// from a nominal checkpoint: [`Mlp::resume_batch_from`] for
+    /// [`ResumeStart::Layer`], [`Mlp::resume_batch_after`] for
+    /// [`ResumeStart::AfterActivation`], with this plan's taps.
     ///
     /// Bitwise identical to [`CompiledPlan::run_batch`] over the inputs
-    /// that produced the checkpoint whenever
-    /// `from_layer <= self.first_faulty_layer()` — the skipped prefix of
-    /// the full faulty pass recomputes nominal values exactly.
+    /// that produced the checkpoint whenever the plan leaves every hook
+    /// before `start` untouched: `Layer(l)` for
+    /// `l <= self.first_faulty_layer()`, `AfterActivation(l)` for
+    /// `l < self.first_faulty_layer()` and for
+    /// [`CompiledPlan::resume_start`] itself.
     ///
     /// # Panics
     /// If the plan's depth does not match `net`'s (the plan must have been
     /// compiled against this network).
-    pub fn resume_batch_from(
+    pub fn resume_batch_at(
         &self,
         net: &Mlp,
-        resume_input: &Matrix,
+        start: ResumeStart,
+        start_input: &Matrix,
         ws: &mut BatchWorkspace,
-        from_layer: usize,
     ) -> Vec<f64> {
         assert_eq!(
             self.neuron_sites.len(),
             net.depth(),
-            "resume_batch_from: plan/network depth mismatch"
+            "resume_batch_at: plan/network depth mismatch"
         );
         let mut tap = BatchInjectorTap { plan: self };
-        net.resume_batch_from(resume_input, ws, &mut tap, from_layer)
+        match start {
+            ResumeStart::Layer(l) => net.resume_batch_from(start_input, ws, &mut tap, l),
+            ResumeStart::AfterActivation(l) => net.resume_batch_after(start_input, ws, &mut tap, l),
+        }
     }
 
-    /// [`CompiledPlan::resume_batch_from`] with the resume input borrowed
-    /// from a nominal checkpoint over `xs` (see
-    /// [`Mlp::resume_batch_tapped`], which validates the checkpoint's
-    /// shape and selects the layer-`from_layer − 1` tap) — the one place
-    /// the checkpoint-source selection lives, shared by the single-plan
-    /// path and the multi-plan evaluator.
+    /// The faulty pass resumed at [`CompiledPlan::resume_start`] against a
+    /// nominal checkpoint over `xs`, the start's input borrowed from the
+    /// checkpoint by reference ([`ResumeStart::input`]) — the path every
+    /// checkpointed evaluation takes.
+    ///
+    /// # Panics
+    /// If the checkpoint does not hold a pass over `xs.rows()` rows
+    /// through a network of `net`'s depth, or the plan was compiled
+    /// against another depth.
     pub fn resume_batch_checkpointed(
         &self,
         net: &Mlp,
         xs: &Matrix,
         ws_nominal: &BatchWorkspace,
         ws_scratch: &mut BatchWorkspace,
-        from_layer: usize,
     ) -> Vec<f64> {
         assert_eq!(
-            self.neuron_sites.len(),
-            net.depth(),
-            "resume_batch_checkpointed: plan/network depth mismatch"
+            xs.cols(),
+            net.input_dim(),
+            "resume_batch_checkpointed: input dimension mismatch"
         );
-        let mut tap = BatchInjectorTap { plan: self };
-        net.resume_batch_tapped(xs, ws_nominal, ws_scratch, &mut tap, from_layer)
+        assert!(
+            ws_nominal.batch() == xs.rows() && ws_nominal.outs.len() == net.depth(),
+            "resume_batch_checkpointed: checkpoint workspace does not match (net, batch)"
+        );
+        let start = self.resume_start();
+        self.resume_batch_at(net, start, start.input(xs, ws_nominal), ws_scratch)
     }
 
     /// Suffix-engine `|F_neu(x_b) − F_fail(x_b)|`: one nominal pass into
-    /// `ws_nominal` (the checkpoint), then a faulty pass that resumes at
-    /// [`CompiledPlan::first_faulty_layer`] into `ws_scratch`, skipping
-    /// the unfaulted prefix entirely.
+    /// `ws_nominal` (the checkpoint), then a faulty pass resumed at
+    /// [`CompiledPlan::resume_start`] into `ws_scratch`, skipping the
+    /// nominal part of the faulty pass entirely.
     ///
     /// **Bitwise** equal to [`CompiledPlan::output_error_batch`] for every
     /// plan, batch size and input set (property-tested in
-    /// `tests/suffix_equivalence.rs`); the saving is the faulty pass's
-    /// prefix — `first_faulty_layer / depth` of its layer work, all of it
-    /// for output-synapse-only plans.
+    /// `tests/suffix_equivalence.rs`); the saving is the
+    /// [`ResumeStart::checkpoint_layers`] of the faulty pass's `depth`
+    /// layers — `(f + 1) / depth` of its layer work for neuron faults
+    /// first at layer `f`, `f / depth` when a synapse enters `f`, all of
+    /// it for output-synapse-only plans.
     pub fn output_error_resumed(
         &self,
         net: &Mlp,
@@ -332,8 +369,7 @@ impl CompiledPlan {
         ws_scratch: &mut BatchWorkspace,
     ) -> Vec<f64> {
         let mut errors = net.forward_batch(xs, ws_nominal);
-        let from = self.first_faulty_layer();
-        let faulty = self.resume_batch_checkpointed(net, xs, ws_nominal, ws_scratch, from);
+        let faulty = self.resume_batch_checkpointed(net, xs, ws_nominal, ws_scratch);
         for (e, f) in errors.iter_mut().zip(&faulty) {
             *e = (*e - f).abs();
         }
@@ -367,12 +403,53 @@ impl CompiledPlan {
             xs.rows(),
             "output_error_checkpointed: nominal_y/input row mismatch"
         );
-        let from = self.first_faulty_layer();
-        let mut errors = self.resume_batch_checkpointed(net, xs, ws_nominal, ws_scratch, from);
+        let mut errors = self.resume_batch_checkpointed(net, xs, ws_nominal, ws_scratch);
         for (e, &nom) in errors.iter_mut().zip(nominal_y) {
             *e = (nom - *e).abs();
         }
         errors
+    }
+}
+
+/// Where a plan's faulty pass starts against a nominal checkpoint
+/// ([`CompiledPlan::resume_start`] picks one from the plan's sites).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ResumeStart {
+    /// Recompute layer `l` (its GEMM, pre-activation hook, activation and
+    /// post-activation hook) and everything after it, from layer
+    /// `l − 1`'s checkpointed outputs — or the inputs for `l = 0`.
+    /// `Layer(depth)` runs only the output stage.
+    Layer(usize),
+    /// Copy layer `l`'s checkpointed outputs, fire its post-activation
+    /// hook on the copy, and recompute layers `l + 1..L` and the output
+    /// stage.
+    AfterActivation(usize),
+}
+
+impl ResumeStart {
+    /// Layers of the faulty pass this start takes from the checkpoint
+    /// instead of recomputing: `l` for `Layer(l)`, `l + 1` for
+    /// `AfterActivation(l)`. Over `B` rows it saves `B` times this many
+    /// layer-rows against a full faulty pass.
+    pub fn checkpoint_layers(self) -> usize {
+        match self {
+            ResumeStart::Layer(l) => l,
+            ResumeStart::AfterActivation(l) => l + 1,
+        }
+    }
+
+    /// The checkpoint matrix this start reads, over `xs` and the nominal
+    /// checkpoint `ws_nominal` of a pass over it: `xs` for `Layer(0)`,
+    /// `ws_nominal.outs[l − 1]` for `Layer(l)`, `ws_nominal.outs[l]` for
+    /// `AfterActivation(l)`. A caller resuming a subset of the rows
+    /// copies those rows of this matrix and hands them to
+    /// [`CompiledPlan::resume_batch_at`].
+    pub fn input<'a>(self, xs: &'a Matrix, ws_nominal: &'a BatchWorkspace) -> &'a Matrix {
+        match self {
+            ResumeStart::Layer(0) => xs,
+            ResumeStart::Layer(l) => &ws_nominal.outs[l - 1],
+            ResumeStart::AfterActivation(l) => &ws_nominal.outs[l],
+        }
     }
 }
 

@@ -7,8 +7,10 @@
 //! nothing downstream revalidates. A [`PlanIr`] keeps the compiled
 //! executable plus the facts downstream code reads on its hot paths:
 //!
-//! * [`first_faulty_layer`](PlanIr::first_faulty_layer), where every serve
-//!   flush resumes the plan's faulty pass;
+//! * [`first_faulty_layer`](PlanIr::first_faulty_layer), the first layer
+//!   the plan faults — a resume starts at it, or just after its
+//!   activation when its only faults there are neurons
+//!   ([`CompiledPlan::resume_start`], which serve flushes ask);
 //! * [`plan_key`](PlanIr::plan_key), the full plan identity under which
 //!   `eval_many` evaluates identical plans once;
 //! * [`structure_hash`](PlanIr::structure_hash), which picks a fleet plan's

@@ -21,8 +21,9 @@
 //!   disturbance maximiser (Theorem 1's equality cases).
 //! * [`multi`] — the multi-plan **suffix engine**: one shared nominal pass
 //!   per input set, each plan's faulty pass resumed at its
-//!   [`CompiledPlan::first_faulty_layer`] — bitwise equal to per-plan
-//!   evaluation at a fraction of the flops.
+//!   [`CompiledPlan::resume_start`] — just after its first faulty layer
+//!   for neuron faults, at it when a synapse enters it — bitwise equal to
+//!   per-plan evaluation at a fraction of the flops.
 //! * [`registry`] — long-lived sets of `(network, compiled plan)` pairs
 //!   addressed by dense [`registry::PlanId`]s, the plan-sharding substrate
 //!   of the serving engine (`neurofail-serve`).
@@ -66,7 +67,7 @@ pub use campaign::{
     merge_trials, run_campaign, run_campaign_trials, CampaignConfig, CampaignResult, TrialKind,
     TrialResult, WorstCase,
 };
-pub use executor::{CompiledPlan, PlanError};
+pub use executor::{CompiledPlan, PlanError, ResumeStart};
 pub use ir::{AdmissionStats, PlanIr};
 pub use multi::{output_error_many, MultiPlanEvaluator};
 pub use plan::{ByzantineStrategy, InjectionPlan, NeuronFault, SynapseFault};

@@ -11,17 +11,21 @@
 //!
 //! [`MultiPlanEvaluator`] computes the nominal pass **once**, keeps its
 //! per-layer taps as a checkpoint, and resumes each plan's faulty pass at
-//! that plan's [`CompiledPlan::first_faulty_layer`]: a layer-ℓ crash
-//! subset on an L-layer net skips ℓ/L of the faulty pass's layer work, and
-//! an output-synapse-only plan reduces to one O(N_L) dot product per row.
+//! that plan's [`CompiledPlan::resume_start`]: a layer-ℓ crash subset on
+//! an L-layer net takes layer ℓ's outputs from the checkpoint too and
+//! skips (ℓ+1)/L of the faulty pass's layer work (ℓ/L when a hidden
+//! synapse enters layer ℓ, whose sums it changes), and an
+//! output-synapse-only plan reduces to one O(N_L) dot product per row.
 //! Unlike the GEMM batching wins (bounded by the host's FMA throughput),
 //! this eliminates flops outright, so it speeds up any hardware.
 //!
 //! Bitwise contract: every value produced here equals the corresponding
 //! per-plan [`CompiledPlan::output_error_batch`] call bit for bit, for
 //! every suffix split, batch size and `Parallelism` policy — unfaulted
-//! prefix layers recompute the exact same values with the exact same
-//! kernels, so skipping them changes nothing (`tests/suffix_equivalence.rs`).
+//! prefix layers, and the sums and activations of a layer whose only
+//! faults are neuron outputs, recompute the exact same values with the
+//! exact same kernels, so taking them from the checkpoint changes nothing
+//! (`tests/suffix_equivalence.rs`).
 
 use neurofail_nn::{BatchWorkspace, Mlp};
 use neurofail_tensor::Matrix;
@@ -50,7 +54,7 @@ pub struct MultiPlanEvaluator<'a> {
     nominal_y: Vec<f64>,
     /// Scratch for resumed faulty suffixes, reused across plans.
     scratch: BatchWorkspace,
-    /// Layer-rows of faulty-prefix recomputation avoided so far.
+    /// Layer-rows of the faulty passes taken from the checkpoint so far.
     prefix_rows_saved: u64,
 }
 
@@ -70,11 +74,12 @@ impl<'a> MultiPlanEvaluator<'a> {
     }
 
     /// Disturbances `|F_neu(x_b) − F_fail(x_b)|` of `plan`, resumed at
-    /// its first faulty layer against this checkpoint
+    /// its [`CompiledPlan::resume_start`] against this checkpoint
     /// ([`CompiledPlan::output_error_checkpointed`]). Bitwise equal to
     /// [`CompiledPlan::output_error_batch`]`(net, xs, …)`.
     pub fn output_error(&mut self, plan: &CompiledPlan) -> Vec<f64> {
-        self.prefix_rows_saved += plan.first_faulty_layer() as u64 * self.xs.rows() as u64;
+        let taken = plan.resume_start().checkpoint_layers();
+        self.prefix_rows_saved += taken as u64 * self.xs.rows() as u64;
         plan.output_error_checkpointed(
             self.net,
             self.xs,
@@ -84,8 +89,11 @@ impl<'a> MultiPlanEvaluator<'a> {
         )
     }
 
-    /// Layer-rows of faulty-prefix work skipped so far: a plan resumed at
-    /// layer `f` over `B` rows adds `f · B` (a per-plan
+    /// Layer-rows of faulty-pass work taken from the checkpoint so far: a
+    /// plan whose resume takes `k` layers from it
+    /// ([`ResumeStart::checkpoint_layers`](crate::ResumeStart::checkpoint_layers))
+    /// adds `k · B` over `B` rows — `f + 1` layers for neuron faults first
+    /// at layer `f`, `f` when a synapse enters `f` (a per-plan
     /// [`CompiledPlan::output_error_batch`] would have recomputed all of
     /// them inside its full faulty pass).
     pub fn prefix_rows_saved(&self) -> u64 {
@@ -226,6 +234,54 @@ mod tests {
     }
 
     #[test]
+    fn resume_start_follows_the_first_faulty_layers_sites() {
+        use crate::ResumeStart::{AfterActivation, Layer};
+        let net = deep_net();
+        let neuron = |layer| NeuronSite {
+            layer,
+            neuron: 1,
+            fault: NeuronFault::Byzantine(ByzantineStrategy::OpposeNominal),
+        };
+        let hidden = |layer| SynapseSite {
+            target: SynapseTarget::Hidden {
+                layer,
+                to: 0,
+                from: 2,
+            },
+            fault: SynapseFault::Byzantine(0.3),
+        };
+        let output = SynapseSite {
+            target: SynapseTarget::Output { from: 0 },
+            fault: SynapseFault::Crash,
+        };
+        let plan = |neurons, synapses| InjectionPlan { neurons, synapses };
+        let cases = [
+            (InjectionPlan::none(), Layer(3), 3),
+            (plan(vec![], vec![output]), Layer(3), 3),
+            (InjectionPlan::crash([(0, 1)]), AfterActivation(0), 1),
+            (
+                InjectionPlan::crash([(2, 1), (2, 4)]),
+                AfterActivation(2),
+                3,
+            ),
+            (plan(vec![neuron(1)], vec![output]), AfterActivation(1), 2),
+            (
+                plan(vec![neuron(0)], vec![hidden(1)]),
+                AfterActivation(0),
+                1,
+            ),
+            (plan(vec![], vec![hidden(1)]), Layer(1), 1),
+            (plan(vec![neuron(1)], vec![hidden(1)]), Layer(1), 1),
+            (plan(vec![neuron(2)], vec![hidden(0)]), Layer(0), 0),
+        ];
+        for (plan, start, taken) in cases {
+            let c = CompiledPlan::compile(&plan, &net, 1.0).unwrap();
+            assert_eq!(c.resume_start(), start, "{plan:?}");
+            assert_eq!(start.checkpoint_layers(), taken, "{plan:?}");
+        }
+    }
+
+    #[test]
     fn many_is_bitwise_equal_to_per_plan_batches() {
         let net = deep_net();
         let plans: Vec<CompiledPlan> = plan_family()
@@ -253,10 +309,12 @@ mod tests {
         let mut eval = MultiPlanEvaluator::new(&net, &xs);
         let late = CompiledPlan::compile(&InjectionPlan::crash([(2, 0)]), &net, 1.0).unwrap();
         let _ = eval.output_error(&late);
-        assert_eq!(eval.prefix_rows_saved(), 2 * 4);
+        // The crash leaves layer 2's sums and activations nominal: all
+        // three layers come from the checkpoint.
+        assert_eq!(eval.prefix_rows_saved(), 3 * 4);
         let early = CompiledPlan::compile(&InjectionPlan::crash([(0, 0)]), &net, 1.0).unwrap();
         let _ = eval.output_error(&early);
-        assert_eq!(eval.prefix_rows_saved(), 2 * 4); // early plan saves nothing
+        assert_eq!(eval.prefix_rows_saved(), (3 + 1) * 4); // layer 0's outputs
     }
 
     #[test]

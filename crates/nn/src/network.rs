@@ -533,13 +533,74 @@ impl Mlp {
         if !ws.fits(self, resume_input.rows()) {
             ws.reshape(self, resume_input.rows());
         }
-        let batch = resume_input.rows();
+        self.resume_layers(Some(resume_input), ws, tap, from_layer)
+    }
+
+    /// Resume a batched (tapped) pass **after** layer `layer`'s
+    /// activation: copy `layer_outputs` (its `B × N_layer` outputs) into
+    /// `ws`, fire the layer's post-activation hook on the copy, then
+    /// recompute layers `layer + 1..L` and the output stage exactly as
+    /// [`Mlp::resume_batch_from`] does. For `layer == depth() − 1` no
+    /// layer is recomputed: the hook fires, then only the output stage
+    /// runs.
+    ///
+    /// This is the suffix engine's second start. A fault plan whose first
+    /// faulty layer `f` only overwrites outputs (neuron faults, no
+    /// synapse into `f`) leaves layer `f`'s sums and activations nominal,
+    /// so a **nominal** checkpoint's `outs[f]` is exactly what a full
+    /// tapped pass would hand the hook, and the result is **bitwise
+    /// identical** to [`Mlp::forward_batch_tapped`] over the inputs that
+    /// produced the checkpoint — one GEMM and one activation sweep fewer
+    /// than resuming at `f`. Layer `layer`'s pre-activation hook does not
+    /// fire, and `ws.sums[layer]` keeps whatever it held: like every
+    /// layer below the split, it is not part of the pass.
+    ///
+    /// # Panics
+    /// If `layer >= depth()` or `layer_outputs.cols()` is not `N_layer`.
+    pub fn resume_batch_after(
+        &self,
+        layer_outputs: &Matrix,
+        ws: &mut BatchWorkspace,
+        tap: &mut impl BatchTap,
+        layer: usize,
+    ) -> Vec<f64> {
+        let nl = self.layers.len();
+        assert!(
+            layer < nl,
+            "resume_batch_after: layer {layer} >= depth {nl}"
+        );
+        assert_eq!(
+            layer_outputs.cols(),
+            self.layers[layer].out_dim(),
+            "resume_batch_after: layer_outputs dimension mismatch at layer {layer}"
+        );
+        if !ws.fits(self, layer_outputs.rows()) {
+            ws.reshape(self, layer_outputs.rows());
+        }
+        let out = &mut ws.outs[layer];
+        out.data_mut().copy_from_slice(layer_outputs.data());
+        tap.post_activation(layer, out);
+        self.resume_layers(None, ws, tap, layer + 1)
+    }
+
+    /// The layer loop both resume entries share: layers `from_layer..L`
+    /// with `tap` interposing, then the output stage. Layer `from_layer`
+    /// reads `input`, or `ws.outs[from_layer − 1]` when `input` is `None`
+    /// (the post-activation start, which filled it). `ws` is already
+    /// shaped for the batch.
+    fn resume_layers(
+        &self,
+        input: Option<&Matrix>,
+        ws: &mut BatchWorkspace,
+        tap: &mut impl BatchTap,
+        from_layer: usize,
+    ) -> Vec<f64> {
+        let nl = self.layers.len();
         for l in from_layer..nl {
             let (prev_outs, rest_outs) = ws.outs.split_at_mut(l);
-            let input: &Matrix = if l == from_layer {
-                resume_input
-            } else {
-                &prev_outs[l - 1]
+            let input: &Matrix = match input {
+                Some(m) if l == from_layer => m,
+                _ => &prev_outs[l - 1],
             };
             let sums = &mut ws.sums[l];
             let out = &mut rest_outs[0];
@@ -567,63 +628,16 @@ impl Mlp {
                 .apply_slice(sums.data(), out.data_mut());
             tap.post_activation(l, out);
         }
-        let last: &Matrix = if from_layer == nl {
-            resume_input
-        } else {
-            &ws.outs[nl - 1]
+        let last: &Matrix = match input {
+            Some(m) if from_layer == nl => m,
+            _ => &ws.outs[nl - 1],
         };
-        let mut y = vec![self.output_bias; batch];
+        let mut y = vec![self.output_bias; last.rows()];
         for (yb, row) in y.iter_mut().zip(last.rows_iter()) {
             *yb += ops::dot(&self.output_weights, row);
         }
         tap.output_sum(last, &mut y);
         y
-    }
-
-    /// The issue-shaped convenience over [`Mlp::resume_batch_from`]: given
-    /// the original input batch `xs` and the **nominal** checkpoint
-    /// workspace `ws_nominal` (filled by `forward_batch(xs, ws_nominal)`),
-    /// recompute only layers `from_layer..L` (plus the output combination)
-    /// into `ws_scratch` with `tap` interposing.
-    ///
-    /// The layer-`from_layer − 1` nominal tap is taken from the checkpoint
-    /// by reference — no copy — so a single checkpoint amortises across
-    /// arbitrarily many plans resumed at arbitrary suffix layers.
-    ///
-    /// # Panics
-    /// If the checkpoint was not shaped by a pass over `xs` through this
-    /// network (batch or layer shape mismatch), or `from_layer > depth()`.
-    pub fn resume_batch_tapped(
-        &self,
-        xs: &Matrix,
-        ws_nominal: &BatchWorkspace,
-        ws_scratch: &mut BatchWorkspace,
-        tap: &mut impl BatchTap,
-        from_layer: usize,
-    ) -> Vec<f64> {
-        assert_eq!(
-            xs.cols(),
-            self.input_dim(),
-            "resume_batch_tapped: input dimension mismatch"
-        );
-        assert!(
-            from_layer <= self.layers.len(),
-            "resume_batch_tapped: from_layer {from_layer} > depth {}",
-            self.layers.len()
-        );
-        if from_layer == 0 {
-            return self.resume_batch_from(xs, ws_scratch, tap, 0);
-        }
-        assert!(
-            ws_nominal.fits(self, xs.rows()),
-            "resume_batch_tapped: checkpoint workspace does not match (net, batch)"
-        );
-        self.resume_batch_from(
-            &ws_nominal.outs[from_layer - 1],
-            ws_scratch,
-            tap,
-            from_layer,
-        )
     }
 
     /// Grow a batched checkpoint **in place** by only the new input rows:
@@ -1186,6 +1200,16 @@ mod tests {
         }
     }
 
+    /// What a resume from layer `from` reads out of a nominal checkpoint
+    /// over `xs`: the inputs for 0, layer `from − 1`'s outputs otherwise.
+    fn resume_input<'a>(xs: &'a Matrix, nominal: &'a BatchWorkspace, from: usize) -> &'a Matrix {
+        if from == 0 {
+            xs
+        } else {
+            &nominal.outs[from - 1]
+        }
+    }
+
     #[test]
     fn resume_from_nominal_checkpoint_is_bitwise_for_every_split() {
         // A 3-layer squashing net: resuming an *unfaulted* pass at any
@@ -1203,8 +1227,8 @@ mod tests {
         let full = net.forward_batch(&xs, &mut nominal);
         let mut scratch = BatchWorkspace::default();
         for from in 0..=net.depth() {
-            let resumed =
-                net.resume_batch_tapped(&xs, &nominal, &mut scratch, &mut NoBatchTap, from);
+            let input = resume_input(&xs, &nominal, from);
+            let resumed = net.resume_batch_from(input, &mut scratch, &mut NoBatchTap, from);
             for (b, (&a, &r)) in full.iter().zip(&resumed).enumerate() {
                 assert_eq!(a.to_bits(), r.to_bits(), "split {from}, row {b}");
             }
@@ -1224,9 +1248,8 @@ mod tests {
         let full = net.forward_batch_tapped(&xs, &mut full_ws, &mut BatchCrashFirst { layer: 1 });
         let mut scratch = BatchWorkspace::default();
         for from in 0..=1 {
-            let resumed = net.resume_batch_tapped(
-                &xs,
-                &nominal,
+            let resumed = net.resume_batch_from(
+                resume_input(&xs, &nominal, from),
                 &mut scratch,
                 &mut BatchCrashFirst { layer: 1 },
                 from,
@@ -1257,8 +1280,8 @@ mod tests {
             }
         }
         let mut scratch = BatchWorkspace::default();
-        let resumed =
-            net.resume_batch_tapped(&xs, &nominal, &mut scratch, &mut Hijack, net.depth());
+        let last = &nominal.outs[net.depth() - 1];
+        let resumed = net.resume_batch_from(last, &mut scratch, &mut Hijack, net.depth());
         for (b, (&a, &r)) in full.iter().zip(&resumed).enumerate() {
             assert_eq!(r, a + 100.0, "row {b}");
         }
@@ -1272,7 +1295,101 @@ mod tests {
         let mut nominal = BatchWorkspace::for_net(&net, 1);
         let _ = net.forward_batch(&xs, &mut nominal);
         let mut scratch = BatchWorkspace::default();
-        let _ = net.resume_batch_tapped(&xs, &nominal, &mut scratch, &mut NoBatchTap, 3);
+        let _ = net.resume_batch_from(&nominal.outs[1], &mut scratch, &mut NoBatchTap, 3);
+    }
+
+    /// Output-only faults from layer `split` on (a tap the post-activation
+    /// start admits at `split`), plus pre-activation faults strictly after
+    /// it; logs every hook it sees.
+    struct FaultsFrom {
+        split: usize,
+        hooks: Vec<(&'static str, usize)>,
+    }
+    impl BatchTap for FaultsFrom {
+        fn pre_activation(&mut self, layer: usize, _input: &Matrix, sums: &mut Matrix) {
+            self.hooks.push(("pre", layer));
+            if layer > self.split {
+                for b in 0..sums.rows() {
+                    sums.set(b, 0, sums.get(b, 0) + 0.375);
+                }
+            }
+        }
+        fn post_activation(&mut self, layer: usize, outputs: &mut Matrix) {
+            self.hooks.push(("post", layer));
+            if layer >= self.split {
+                let last = outputs.cols() - 1;
+                for b in 0..outputs.rows() {
+                    // Reads the value it overwrites, like OpposeNominal.
+                    outputs.set(b, last, -0.5 * outputs.get(b, last));
+                }
+            }
+        }
+        fn output_sum(&mut self, _last_out: &Matrix, _sums: &mut [f64]) {
+            self.hooks.push(("out", 0));
+        }
+    }
+
+    #[test]
+    fn resume_after_activation_is_bitwise_the_full_tapped_pass() {
+        use crate::builder::MlpBuilder;
+        use neurofail_data::rng::rng;
+        use neurofail_tensor::init::Init;
+        let dense = MlpBuilder::new(4)
+            .dense(5, Activation::Tanh { k: 0.9 })
+            .dense(3, Activation::Sigmoid { k: 1.1 })
+            .dense(4, Activation::Tanh { k: 1.0 })
+            .init(Init::Uniform { a: 0.6 })
+            .build(&mut rng(5));
+        let conv_first = MlpBuilder::new(6)
+            .conv1d(2, 3, Activation::Sigmoid { k: 1.0 })
+            .dense(3, Activation::Tanh { k: 0.8 })
+            .init(Init::Uniform { a: 0.6 })
+            .build(&mut rng(6));
+        assert!(matches!(conv_first.layers()[0], Layer::Conv1d(_)));
+        for net in [&dense, &conv_first] {
+            let depth = net.depth();
+            for batch in [0usize, 1, 5] {
+                let xs = Matrix::from_fn(batch, net.input_dim(), |r, c| {
+                    0.23 * r as f64 - 0.4 + 0.11 * c as f64
+                });
+                let mut nominal = BatchWorkspace::default();
+                let _ = net.forward_batch(&xs, &mut nominal);
+                for split in 0..depth {
+                    let mut full_ws = BatchWorkspace::default();
+                    let mut full_tap = FaultsFrom {
+                        split,
+                        hooks: Vec::new(),
+                    };
+                    let full = net.forward_batch_tapped(&xs, &mut full_ws, &mut full_tap);
+                    let mut tap = FaultsFrom {
+                        split,
+                        hooks: Vec::new(),
+                    };
+                    let mut scratch = BatchWorkspace::default();
+                    let resumed =
+                        net.resume_batch_after(&nominal.outs[split], &mut scratch, &mut tap, split);
+                    assert_eq!(resumed.len(), batch);
+                    for (b, (&f, &r)) in full.iter().zip(&resumed).enumerate() {
+                        assert_eq!(
+                            f.to_bits(),
+                            r.to_bits(),
+                            "split {split}, B {batch}, row {b}"
+                        );
+                    }
+                    // Hooks fire from the split's post-activation on: at
+                    // the last layer only the output stage remains.
+                    let mut expected = vec![("post", split)];
+                    for l in split + 1..depth {
+                        expected.extend([("pre", l), ("post", l)]);
+                    }
+                    expected.push(("out", 0));
+                    assert_eq!(tap.hooks, expected, "split {split}, B {batch}");
+                    if split == depth - 1 {
+                        assert_eq!(tap.hooks, [("post", split), ("out", 0)]);
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -1307,7 +1424,8 @@ mod tests {
         // The grown workspace is a valid checkpoint: resuming from it at
         // any split reproduces the full pass bitwise.
         for from in 0..=net.depth() {
-            let resumed = net.resume_batch_tapped(&xs, &ws, &mut scratch, &mut NoBatchTap, from);
+            let input = resume_input(&xs, &ws, from);
+            let resumed = net.resume_batch_from(input, &mut scratch, &mut NoBatchTap, from);
             for (b, (&a, &r)) in full.iter().zip(&resumed).enumerate() {
                 assert_eq!(a.to_bits(), r.to_bits(), "split {from}, row {b}");
             }

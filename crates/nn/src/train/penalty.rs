@@ -50,7 +50,8 @@ impl FepPenalty {
 
     /// Add `λ · ∂smax_s/∂w_i` to each gradient entry.
     ///
-    /// `∂smax_s/∂w_i = softmax(s|w|)_i · sign(w_i)`.
+    /// `∂smax_s/∂w_i = softmax(s|w|)_i · sign(w_i)`. Each weight's
+    /// exponential is computed once and kept for the normalising pass.
     ///
     /// # Panics
     /// If `grad.len() != weights.len()`.
@@ -60,12 +61,16 @@ impl FepPenalty {
             return;
         }
         let m = weights.iter().fold(0.0f64, |a, &w| a.max(w.abs()));
+        let exps: Vec<f64> = weights
+            .iter()
+            .map(|&w| (self.sharpness * (w.abs() - m)).exp())
+            .collect();
         let mut z = 0.0;
-        for &w in weights {
-            z += (self.sharpness * (w.abs() - m)).exp();
+        for &e in &exps {
+            z += e;
         }
-        for (g, &w) in grad.iter_mut().zip(weights) {
-            let p = (self.sharpness * (w.abs() - m)).exp() / z;
+        for ((g, &w), &e) in grad.iter_mut().zip(weights).zip(&exps) {
+            let p = e / z;
             *g += self.strength * p * w.signum();
         }
     }
@@ -143,6 +148,39 @@ mod tests {
     }
 
     proptest! {
+        /// `add_grad` is bit for bit the two-pass formula that computes
+        /// each exponential twice: once into the normaliser `z`, once
+        /// into `p_i`. Weights include zeros and ties at the maximum.
+        #[test]
+        fn add_grad_is_bitwise_the_two_pass_formula(
+            kinds in proptest::collection::vec(0usize..5, 1..24),
+            free in proptest::collection::vec(-1.25f64..1.25, 24),
+            g0 in proptest::collection::vec(-1.0f64..1.0, 24),
+            strength in 1e-4f64..2.0,
+            sharpness in 0.5f64..40.0,
+        ) {
+            // Zeros of both signs, ties at the maximum |w| = 1.25 of both
+            // signs, and free weights below it.
+            let w: Vec<f64> = kinds
+                .iter()
+                .zip(&free)
+                .map(|(&k, &x)| [0.0, -0.0, 1.25, -1.25, x][k])
+                .collect();
+            let p = FepPenalty { strength, sharpness };
+            let mut got = g0[..w.len()].to_vec();
+            p.add_grad(&w, &mut got);
+            let m = w.iter().fold(0.0f64, |a, &x| a.max(x.abs()));
+            let mut z = 0.0;
+            for &x in &w {
+                z += (sharpness * (x.abs() - m)).exp();
+            }
+            for (i, &x) in w.iter().enumerate() {
+                let pi = (sharpness * (x.abs() - m)).exp() / z;
+                let want = g0[i] + strength * pi * x.signum();
+                prop_assert_eq!(got[i].to_bits(), want.to_bits(), "weight {}", i);
+            }
+        }
+
         /// The penalty gradient matches finite differences of the value.
         #[test]
         fn grad_matches_finite_difference(

@@ -44,8 +44,8 @@ pub struct ServeConfig {
     /// checkpoint over every queued row plus one resumed faulty **suffix** per
     /// plan present in the flush (the multi-plan engine of
     /// `neurofail_inject::multi` at the serving layer). Served values stay
-    /// bitwise identical to per-plan serving; the saving is the per-plan
-    /// faulty prefix, reported as
+    /// bitwise identical to per-plan serving; the saving is the part of
+    /// each plan's faulty pass taken from the checkpoint, reported as
     /// [`ServeStats::nominal_rows_saved`](crate::ServeStats). Off by
     /// default (per-plan shards).
     pub coalesce_plans: bool,

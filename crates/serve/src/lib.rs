@@ -14,14 +14,17 @@
 //! whichever is first — through the suffix engine: one nominal
 //! checkpoint for the flush, from the worker's
 //! [`CheckpointCache`](neurofail_inject::CheckpointCache), plus a faulty
-//! pass per plan **resumed** at that plan's first faulty layer
-//! ([`CompiledPlan::output_error_resumed`](neurofail_inject::CompiledPlan::output_error_resumed)
-//! semantics, bitwise equal to the two-full-passes
+//! pass per plan **resumed** where the plan says
+//! ([`CompiledPlan::resume_start`](neurofail_inject::CompiledPlan::resume_start):
+//! just after its first faulty layer's activation for neuron faults, at
+//! that layer when a synapse enters it), bitwise equal to the
+//! two-full-passes
 //! [`output_error_batch`](neurofail_inject::CompiledPlan::output_error_batch)
-//! reference). With [`ServeConfig::coalesce_plans`], plans sharing one
+//! reference. With [`ServeConfig::coalesce_plans`], plans sharing one
 //! network are grouped onto **shared-net shards**, so queries against
-//! *different* plans coalesce into a single nominal pass too; the skipped
-//! prefix work is reported as [`ServeStats::nominal_rows_saved`].
+//! *different* plans coalesce into a single nominal pass too; the layers
+//! each resume takes from the checkpoint are reported as
+//! [`ServeStats::nominal_rows_saved`].
 //!
 //! The design is thread + bounded-channel based (no async runtime — the
 //! workspace is dependency-free), built from:

@@ -19,9 +19,10 @@
 //!    into the shard's per-worker **in-flight table**, get **one nominal
 //!    checkpoint** for the whole flush from the worker's
 //!    [`CheckpointCache`] (capacity 1, over the shard's store), resume
-//!    each plan's faulty pass at its first faulty layer against that
-//!    checkpoint (the suffix engine), and answer each row exactly once by
-//!    *taking* it out of the table.
+//!    each plan's faulty pass where the plan says against that checkpoint
+//!    (the suffix engine:
+//!    [`CompiledPlan::resume_start`](neurofail_inject::CompiledPlan::resume_start)),
+//!    and answer each row exactly once by *taking* it out of the table.
 //!
 //! The worker cache is the only way a flush gets its nominal pass. A
 //! flush identical to the worker's previous one reuses its checkpoint; a
@@ -1134,8 +1135,8 @@ fn worker_loop(
             while r1 < rows && inflight[order[r1]].as_ref().expect("staged").slot == slot {
                 r1 += 1;
             }
-            let entry = &plans[slot].1;
-            let from = entry.ir().first_faulty_layer();
+            let plan = plans[slot].1.compiled();
+            let start = plan.resume_start();
             // A panic between these two stores is attributed to `slot`'s
             // plan by the supervisor (strike accounting).
             shared.current_slot[w].store(slot, Ordering::Relaxed);
@@ -1143,35 +1144,23 @@ fn worker_loop(
             let faulty = if r1 - r0 == rows {
                 // A whole-flush group resumes directly against the
                 // checkpoint, no row copy.
-                entry.compiled().resume_batch_checkpointed(
-                    &net,
-                    &xs,
-                    ws_nominal,
-                    &mut ws_scratch,
-                    from,
-                )
+                plan.resume_batch_checkpointed(&net, &xs, ws_nominal, &mut ws_scratch)
             } else {
-                // A partial group copies its rows of the resume input —
-                // the layer-(from−1) checkpoint taps, or `xs` itself for
-                // plans faulting layer 0 — and resumes over just those.
-                let src: &Matrix = if from == 0 {
-                    &xs
-                } else {
-                    &ws_nominal.outs[from - 1]
-                };
+                // A partial group copies its rows of the checkpoint
+                // matrix the plan's start reads and resumes over just
+                // those.
+                let src = start.input(&xs, ws_nominal);
                 group_input.resize(r1 - r0, src.cols());
                 for (gr, r) in (r0..r1).enumerate() {
                     group_input.row_mut(gr).copy_from_slice(src.row(r));
                 }
-                entry
-                    .compiled()
-                    .resume_batch_from(&net, &group_input, &mut ws_scratch, from)
+                plan.resume_batch_at(&net, start, &group_input, &mut ws_scratch)
             };
             for (gr, r) in (r0..r1).enumerate() {
                 values[order[r]] = (nominal[r] - faulty[gr]).abs();
             }
             shared.current_slot[w].store(SLOT_NONE, Ordering::Relaxed);
-            saved += from as u64 * (r1 - r0) as u64;
+            saved += start.checkpoint_layers() as u64 * (r1 - r0) as u64;
             r0 = r1;
         }
         let done = Instant::now();
@@ -1561,10 +1550,12 @@ mod tests {
     #[test]
     fn coalesced_shards_group_shared_net_plans_and_serve_bitwise_values() {
         use neurofail_inject::plan::{SynapseFault, SynapseSite, SynapseTarget};
-        // One shared net, three plans at different depths (layer 0, layer
-        // 1, output synapse) + a second net with its own plan: coalescing
-        // must produce 2 shards, serve bitwise-exact values for every
-        // plan, and bank nominal_rows_saved for the late plans.
+        // One shared net, three plans at different depths (neuron-only
+        // plans at layers 0 and 1, an output-synapse plan) + a second net
+        // with its own plan: coalescing must produce 2 shards, serve
+        // bitwise-exact values for every plan on both the whole-flush and
+        // the partial-group path, and bank nominal_rows_saved for every
+        // plan.
         let net = Arc::new(Mlp::new(
             vec![
                 Layer::Dense(DenseLayer::new(
@@ -1632,27 +1623,63 @@ mod tests {
                 });
             }
         });
-        // Bitwise serving equivalence per plan.
+        // Bitwise serving equivalence per plan. One query at a time: each
+        // flush holds one plan's row (the whole-flush path).
         let mut ws = BatchWorkspace::default();
         for i in 0..8 {
             let plan = PlanId(i % 4);
             let x = [0.07 * i as f64 - 1.0, 0.5 - 0.03 * i as f64];
-            let served = server.query(plan, &x).unwrap();
+            let resp = server
+                .submit(plan, x.to_vec())
+                .unwrap()
+                .wait_response()
+                .unwrap();
+            assert_eq!(resp.batch_rows, 1, "{plan}");
             let direct = reg.get(plan).unwrap().eval_singleton(&x, &mut ws);
-            assert_eq!(served.to_bits(), direct.to_bits(), "{plan}");
+            assert_eq!(resp.value.to_bits(), direct.to_bits(), "{plan}");
         }
-        // The shared shard banked suffix savings: the layer-1 plan saves
-        // 1 layer-row per row, the output-synapse plan 2 — the layer-0
-        // plan none. The solo shard's plan faults layer 0: saves nothing.
+        // The shared shard banked suffix savings: the layer-0 plan takes
+        // 1 layer-row per row from the checkpoint, the layer-1 plan 2 and
+        // the output-synapse plan 2. The solo shard's plan crashes a
+        // layer-0 neuron of a depth-1 net: 1 per row.
         let shared = server.stats(PlanId(0)).unwrap();
         assert!(
             shared.nominal_rows_saved > 0,
             "late-layer plans must bank prefix savings"
         );
         let solo = server.stats(PlanId(3)).unwrap();
-        assert_eq!(solo.nominal_rows_saved, 0);
+        assert_eq!(solo.nominal_rows_saved, solo.rows_served);
         // Shared-shard stats cover the whole group.
         assert_eq!(shared.rows_served + solo.rows_served, n as u64 + 8);
+        // Bursts of one row per shared-net plan: a flush holding all three
+        // splits into per-plan groups (the partial-group path, each group
+        // resumed from its rows of the checkpoint matrix its plan's start
+        // reads). Retry until one burst coalesces into a single flush.
+        let mut coalesced = false;
+        for burst in 0..50 {
+            let xs: Vec<[f64; 2]> = (0..3)
+                .map(|p| [0.3 * p as f64 - 0.2, 0.01 * burst as f64 - 0.4])
+                .collect();
+            let handles: Vec<_> = xs
+                .iter()
+                .enumerate()
+                .map(|(p, x)| server.submit(PlanId(p), x.to_vec()).unwrap())
+                .collect();
+            for (p, (handle, x)) in handles.into_iter().zip(&xs).enumerate() {
+                let resp = handle.wait_response().unwrap();
+                let direct = reg.get(PlanId(p)).unwrap().eval_singleton(x, &mut ws);
+                assert_eq!(
+                    resp.value.to_bits(),
+                    direct.to_bits(),
+                    "burst {burst}, plan {p}"
+                );
+                coalesced |= resp.batch_rows == 3;
+            }
+            if coalesced {
+                break;
+            }
+        }
+        assert!(coalesced, "no burst reached the partial-group path");
         server.shutdown();
     }
 
@@ -1698,9 +1725,10 @@ mod tests {
         }
         let stats = server.stats(PlanId(1)).unwrap();
         assert_eq!(stats.nominal_rows_saved, 10);
-        // The crash-at-layer-0 plan saves nothing.
+        // The crash-at-layer-0 plan takes layer 0's outputs from the
+        // checkpoint: one layer-row per served row.
         server.query(PlanId(0), &[0.4, 0.2]).unwrap();
-        assert_eq!(server.stats(PlanId(0)).unwrap().nominal_rows_saved, 0);
+        assert_eq!(server.stats(PlanId(0)).unwrap().nominal_rows_saved, 1);
         server.shutdown();
     }
 

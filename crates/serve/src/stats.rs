@@ -170,7 +170,7 @@ impl ShardStats {
 
     /// A worker flushed a batch of `rows` rows whose per-request latencies
     /// are `latencies_ns`; `nominal_rows_saved` is the layer-rows of
-    /// faulty-prefix recomputation the suffix engine skipped in the flush,
+    /// faulty-pass work the suffix engine took from the checkpoint,
     /// and `checkpoint_rows_reused` the layer-rows of **nominal**
     /// recomputation the worker's checkpoint cache served from the
     /// previous flush's checkpoint (`checkpoint_hit` marks the flush as
@@ -279,13 +279,18 @@ pub struct ServeStats {
     pub flushes: u64,
     /// Rows served across all flushes (equals completed requests).
     pub rows_served: u64,
-    /// Layer-rows of nominal-prefix recomputation the suffix engine
-    /// skipped: a flush row served by a plan whose first faulty layer is
-    /// `f` reuses `f` checkpointed layers instead of recomputing them in
-    /// its faulty pass, adding `f` here. A full per-plan
-    /// `output_error_batch` flush would have recomputed all of them —
-    /// this is the work cross-plan coalescing and suffix resumption
-    /// eliminate (0 under fault plans that start at layer 0).
+    /// Layer-rows of the faulty pass the suffix engine took from the
+    /// flush's checkpoint instead of recomputing: a flush row served by a
+    /// plan whose resume takes `k` layers from it adds `k` here
+    /// ([`ResumeStart::checkpoint_layers`](neurofail_inject::ResumeStart::checkpoint_layers)
+    /// of the plan's
+    /// [`resume_start`](neurofail_inject::CompiledPlan::resume_start)):
+    /// `f + 1` for neuron faults first at layer `f`, `f` when a synapse
+    /// enters `f`, `depth` for output-synapse-only and empty plans. A
+    /// full per-plan `output_error_batch` flush would have recomputed all
+    /// of them — this is the work cross-plan coalescing and suffix
+    /// resumption eliminate (0 only under plans with a hidden synapse
+    /// into layer 0).
     pub nominal_rows_saved: u64,
     /// Flushes whose nominal checkpoint came from the worker's checkpoint
     /// cache: the staged rows equal the previous flush's, or start

@@ -7,8 +7,11 @@
 //!   crash / Byzantine hidden and output synapses), batch sizes including
 //!   B ∈ {0, 1, odd}, and `Parallelism` policies;
 //! * a resumed pass is bitwise equal to the full faulty pass for **every**
-//!   admissible suffix split `from ≤ first_faulty_layer`, not just the
-//!   optimal one;
+//!   admissible start, not just the one the plan picks: recomputing from
+//!   layer `from ≤ first_faulty_layer`, and starting after layer `l`'s
+//!   activation from the checkpointed outputs for every `l` whose sums and
+//!   activations the plan leaves nominal (`l < first_faulty_layer`, plus
+//!   the first faulty layer itself when its only faults are neurons);
 //! * `exhaustive_crash_search` results are bit-identical to the
 //!   pre-refactor cost model (nominal pass + full faulty pass per subset);
 //! * campaigns on the suffix engine stay bit-identical across thread
@@ -21,7 +24,7 @@ use neurofail::inject::plan::{
 };
 use neurofail::inject::{
     output_error_many, run_campaign, ByzantineStrategy, CampaignConfig, CompiledPlan, FaultSpec,
-    MultiPlanEvaluator, TrialKind,
+    MultiPlanEvaluator, ResumeStart, TrialKind,
 };
 use neurofail::nn::activation::Activation;
 use neurofail::nn::builder::MlpBuilder;
@@ -131,6 +134,44 @@ fn plan_family(net: &Mlp, seed: u64) -> Vec<InjectionPlan> {
                 fault: SynapseFault::Crash,
             }],
         });
+        // Neuron faults on two consecutive layers (the shape of a [2, 1]
+        // crash campaign): the resume starts after layer 0's activation
+        // and layer 1's faults fire in the recomputed suffix.
+        plans.push(InjectionPlan::crash([
+            (0, 0),
+            (0, widths[0] - 1),
+            (1, widths[1] / 2),
+        ]));
+        // A layer-0 neuron fault plus a hidden synapse into layer 1: the
+        // resume starts after layer 0, and the synapse's pre-activation
+        // tap still fires at layer 1 (reading the faulted layer-0 value).
+        plans.push(InjectionPlan {
+            neurons: vec![NeuronSite {
+                layer: 0,
+                neuron: 0,
+                fault: NeuronFault::Byzantine(ByzantineStrategy::OpposeNominal),
+            }],
+            synapses: vec![SynapseSite {
+                target: SynapseTarget::Hidden {
+                    layer: 1,
+                    to: widths[1] - 1,
+                    from: 0,
+                },
+                fault: SynapseFault::Crash,
+            }],
+        });
+    }
+    if depth >= 3 {
+        // A stuck-at neuron at a middle layer.
+        let mid = depth / 2;
+        plans.push(InjectionPlan {
+            neurons: vec![NeuronSite {
+                layer: mid,
+                neuron: widths[mid] - 1,
+                fault: NeuronFault::StuckAt(-0.45),
+            }],
+            synapses: vec![],
+        });
     }
     plans
 }
@@ -173,7 +214,10 @@ proptest! {
 
     /// Resuming at **every** admissible split `from ≤ first_faulty_layer`
     /// — not just the optimal split — reproduces the full faulty pass
-    /// bitwise: the skipped prefix truly recomputes nominal values.
+    /// bitwise: the skipped prefix truly recomputes nominal values. So
+    /// does starting after layer `l`'s activation wherever the plan leaves
+    /// layer `l`'s sums and activations nominal, and the plan's own start
+    /// through the checkpoint.
     #[test]
     fn every_suffix_split_is_bitwise(
         seed in 0u64..1000,
@@ -198,13 +242,33 @@ proptest! {
                 } else {
                     &nominal.outs[from - 1]
                 };
-                let resumed = compiled.resume_batch_from(&net, resume_input, &mut scratch, from);
+                let start = ResumeStart::Layer(from);
+                let resumed = compiled.resume_batch_at(&net, start, resume_input, &mut scratch);
                 for (b, (f, r)) in full.iter().zip(&resumed).enumerate() {
                     prop_assert_eq!(
                         f.to_bits(), r.to_bits(),
                         "plan {:?}, split {}, row {}", &plan, from, b
                     );
                 }
+            }
+            let own = compiled.resume_start();
+            for l in 0..own.checkpoint_layers() {
+                let after = ResumeStart::AfterActivation(l);
+                let resumed = compiled.resume_batch_at(&net, after, &nominal.outs[l], &mut scratch);
+                for (b, (f, r)) in full.iter().zip(&resumed).enumerate() {
+                    prop_assert_eq!(
+                        f.to_bits(), r.to_bits(),
+                        "plan {:?}, after layer {}, row {}", &plan, l, b
+                    );
+                }
+            }
+            let checkpointed =
+                compiled.resume_batch_checkpointed(&net, &xs, &nominal, &mut scratch);
+            for (b, (f, r)) in full.iter().zip(&checkpointed).enumerate() {
+                prop_assert_eq!(
+                    f.to_bits(), r.to_bits(),
+                    "plan {:?}, own start {:?}, row {}", &plan, own, b
+                );
             }
         }
     }
@@ -269,9 +333,10 @@ proptest! {
 }
 
 /// The degenerate split: a plan faulting layer 0 has an **empty** shared
-/// prefix, so its only admissible resume is `from = 0` — which must
-/// degrade to exactly the full pass. With no tap at all, `resume_batch_from`
-/// at 0 must *be* `forward_batch`, bitwise, checkpoint untouched.
+/// prefix, so its only admissible recompute-from split is `from = 0` —
+/// which must degrade to exactly the full pass. With no tap at all,
+/// `resume_batch_from` at 0 must *be* `forward_batch`, bitwise, checkpoint
+/// untouched.
 #[test]
 fn resume_from_zero_degrades_to_forward_batch() {
     for (seed, depth, width) in [(11u64, 1usize, 5usize), (12, 3, 6), (13, 4, 4)] {
@@ -287,17 +352,17 @@ fn resume_from_zero_degrades_to_forward_batch() {
             assert_eq!(f.to_bits(), r.to_bits(), "row {b}");
         }
 
-        // A layer-0-faulted plan (first_faulty_layer == 0): the suffix
-        // engine's resume covers the whole pass, and both the direct
-        // resume and the checkpoint-borrowing convenience agree bitwise
-        // with the full faulty pass.
+        // A layer-0-faulted plan (first_faulty_layer == 0): a resume from
+        // layer 0 covers the whole pass, and both it and the
+        // checkpoint-borrowing path (which starts after layer 0's
+        // activation, the crash being a neuron fault) agree bitwise with
+        // the full faulty pass.
         let plan = CompiledPlan::compile(&InjectionPlan::crash([(0, 1)]), &net, 1.0).unwrap();
         assert_eq!(plan.first_faulty_layer(), 0, "empty shared prefix");
         let mut full_ws = BatchWorkspace::default();
         let faulty_full = plan.run_batch(&net, &xs, &mut full_ws);
-        let faulty_resumed = plan.resume_batch_from(&net, &xs, &mut scratch, 0);
-        let faulty_checkpointed =
-            plan.resume_batch_checkpointed(&net, &xs, &nominal, &mut scratch, 0);
+        let faulty_resumed = plan.resume_batch_at(&net, ResumeStart::Layer(0), &xs, &mut scratch);
+        let faulty_checkpointed = plan.resume_batch_checkpointed(&net, &xs, &nominal, &mut scratch);
         for (b, ((&f, &r), &c)) in faulty_full
             .iter()
             .zip(&faulty_resumed)
@@ -309,9 +374,8 @@ fn resume_from_zero_degrades_to_forward_batch() {
         }
 
         // The checkpoint was only read: it still replays the nominal pass.
-        let replay = net.resume_batch_tapped(
-            &xs,
-            &nominal,
+        let replay = net.resume_batch_from(
+            &nominal.outs[depth - 1],
             &mut scratch,
             &mut neurofail::nn::NoBatchTap,
             depth,
